@@ -8,8 +8,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import CATEGORICAL, FeatureMatrix
+from .features import FeatureMatrix
 from .learners import LearnerSpec, TrainingData, predict_matrix, train
+from .learners.conditions import category_sums, column_blocks, cut_statistics, node_order
 
 
 @dataclass
@@ -183,66 +184,50 @@ def _entropy_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(n > 0, out, 0.0)
 
 
-def _split_information_gain(td: TrainingData, feature: str) -> float:
-    """Information gain of the best single binary split on this feature;
+def _split_information_gains(td: TrainingData) -> dict[str, float]:
+    """Information gain of the best single binary split on each feature;
     missing rows are routed with the majority side, as in training."""
-    y = td.y
+    y, n = td.y, td.n
     n1 = int(y.sum())
-    n0 = len(y) - n1
+    n0 = n - n1
     parent = _entropy(n0, n1)
-    best = 0.0
-
-    def child_gain(left_mask: np.ndarray) -> float:
-        nL = int(left_mask.sum())
-        nR = len(y) - nL
-        if nL == 0 or nR == 0:
-            return 0.0
-        aL = int(y[left_mask].sum())
+    gains = dict.fromkeys(td.numeric, 0.0)
+    everyone = np.ones(n, dtype=bool)
+    for cols in column_blocks(np.arange(len(td.numeric)), n):
+        _, cuts, (nL, cum1) = cut_statistics(td, node_order(td, everyone, cols),
+                                             np.stack([everyone.astype(np.int64), y]), cols)
+        n_pres = nL[:, -1:]
+        route_left = nL > n_pres - nL
+        aL = cum1 + np.where(route_left, n1 - cum1[:, -1:], 0)
+        bL = nL + np.where(route_left, n - n_pres, 0) - aL
         aR = n1 - aL
-        h = (nL / len(y)) * _entropy(nL - aL, aL) + (nR / len(y)) * _entropy(nR - aR, aR)
-        return parent - h
-
-    if td.kinds[feature] == CATEGORICAL:
+        bR = n0 - bL
+        h = ((aL + bL) / n) * _entropy_vec(bL, aL) + ((aR + bR) / n) * _entropy_vec(bR, aR)
+        best = np.where(cuts, parent - h, -np.inf).max(axis=1)
+        gains.update((td.numeric[f], max(0.0, float(g))) for f, g in zip(cols, best))
+    for feature, categories in td.categories.items():
         codes = td.codes[feature]
         present = codes >= 0
-        n_present = int(present.sum())
-        for code in range(len(td.categories[feature])):
-            eq = codes == code
-            miss_left = int(eq.sum()) > n_present - int(eq.sum())
-            best = max(best, child_gain(eq | ~present if miss_left else eq))
-        return best
-
-    col = td.columns[feature]
-    present = ~np.isnan(col)
-    pv = col[present]
-    if len(pv) < 2:
-        return 0.0
-    order = np.argsort(pv, kind="stable")
-    sv = pv[order]
-    py = td.y[present][order]
-    cuts = np.nonzero(sv[:-1] != sv[1:])[0]
-    if len(cuts) == 0:
-        return 0.0
-    n_miss = int((~present).sum())
-    a_miss = int(td.y[~present].sum())
-    b_miss = n_miss - a_miss
-    cum1 = np.cumsum(py)
-    nL = cuts + 1
-    aL = cum1[cuts]
-    route_left = nL > len(pv) - nL
-    aL = aL + np.where(route_left, a_miss, 0)
-    bL = nL + np.where(route_left, n_miss, 0) - aL
-    aR = n1 - aL
-    bR = n0 - bL
-    n = len(y)
-    h = ((aL + bL) / n) * _entropy_vec(bL, aL) + ((aR + bR) / n) * _entropy_vec(bR, aR)
-    return max(best, float(np.max(parent - h)))
+        n_pres = int(present.sum())
+        n_eq = category_sums(codes, len(categories), np.ones(n, dtype=np.int64))
+        miss_left = n_eq > n_pres - n_eq
+        n_left = n_eq + np.where(miss_left, n - n_pres, 0)
+        a_left = (category_sums(codes, len(categories), y)
+                  + np.where(miss_left, n1 - int(y[present].sum()), 0))
+        best = 0.0
+        for nL, aL in zip(n_left.tolist(), a_left.tolist()):
+            nR, aR = n - nL, n1 - aL
+            if nL and nR:
+                h = (nL / n) * _entropy(nL - aL, aL) + (nR / n) * _entropy(nR - aR, aR)
+                best = max(best, parent - h)
+        gains[feature] = best
+    return gains
 
 
 def rank_features(matrix: FeatureMatrix, top_n: int | None = None) -> list[tuple[str, float]]:
     """Features ordered by the information gain of their best single split,
     descending; equal gains order by feature name for determinism."""
-    td = TrainingData(matrix)
-    scored = [(name, _split_information_gain(td, name)) for name in matrix.feature_names]
+    gains = _split_information_gains(TrainingData(matrix))
+    scored = [(name, gains[name]) for name in matrix.feature_names]
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored[:top_n] if top_n is not None else scored

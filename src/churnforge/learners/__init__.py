@@ -18,7 +18,7 @@ import numpy as np
 from ..features import FeatureMatrix
 from .adtree import ADTreeModel, PredictionNode, Splitter, train_adtree
 from .bayes import BayesModel, train_bayes
-from .conditions import SplitCondition, TrainingData, best_split
+from .conditions import SplitCondition, TrainingData
 from .ensembles import EnsembleModel, train_adaboost, train_bagging, train_forest
 from .trees import TreeModel, train_cart, train_stump
 
@@ -102,7 +102,7 @@ def predict_matrix(model, matrix: FeatureMatrix) -> tuple[np.ndarray, np.ndarray
 
 __all__ = [
     "ALGORITHMS", "LearnerSpec", "Prediction", "train", "predict", "predict_matrix",
-    "SplitCondition", "TrainingData", "best_split",
+    "SplitCondition", "TrainingData",
     "TreeModel", "train_cart", "train_stump",
     "ADTreeModel", "PredictionNode", "Splitter", "train_adtree",
     "BayesModel", "train_bayes",

@@ -32,8 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..features import CATEGORICAL, FeatureMatrix
-from .conditions import CATEGORICAL_EQ, NUMERIC_LT, SplitCondition, TrainingData
+from ..features import FeatureMatrix, is_missing
+from .conditions import (CATEGORICAL_EQ, NUMERIC_LT, SplitCondition, TrainingData,
+                         column_blocks, cut_statistics, node_order)
 
 
 @dataclass
@@ -83,12 +84,15 @@ class ADTreeModel:
             return
         out[idx] += node.value
         for sp in node.splitters:
-            values = matrix.columns[sp.condition.feature][idx]
+            column = matrix.columns.get(sp.condition.feature)
+            if column is None:  # an absent feature is missing in every row
+                continue
+            values = column[idx]
             if sp.condition.kind == NUMERIC_LT:
                 present = ~np.isnan(values)
                 yes = (values < sp.condition.threshold) & present
             else:
-                present = np.array([v is not None for v in values], dtype=bool)
+                present = np.array([not is_missing(v) for v in values], dtype=bool)
                 yes = np.array([v == sp.condition.category for v in values], dtype=bool)
             self._accumulate(sp.yes, idx[yes], matrix, out)
             self._accumulate(sp.no, idx[present & ~yes], matrix, out)
@@ -108,17 +112,6 @@ class ADTreeModel:
 
 def _value(w1: float, w0: float) -> float:
     return 0.5 * math.log((w1 + 1.0) / (w0 + 1.0))
-
-
-@dataclass
-class _Candidate:
-    z: float
-    node_pos: int
-    feature: str
-    kind: str
-    operand: object
-    yes_mask: np.ndarray
-    no_mask: np.ndarray
 
 
 def train_adtree(matrix: FeatureMatrix, n_boost_rounds: int = 10) -> ADTreeModel:
@@ -142,104 +135,76 @@ def train_adtree(matrix: FeatureMatrix, n_boost_rounds: int = 10) -> ADTreeModel
     root = PredictionNode(root_value)
     model = ADTreeModel(root)
     model.weight_totals.append(float(w.sum()))
-    # reach masks parallel to the prediction-node list; creation order = tie order
+    # rows reaching each prediction node; creation order = tie order
     nodes: list[PredictionNode] = [root]
-    masks: list[np.ndarray] = [np.ones(td.n, dtype=bool)]
-
-    # presort numeric columns once; per-node scans reuse the global order
-    order = {
-        f: np.argsort(td.columns[f], kind="stable")
-        for f in td.features if td.kinds[f] != CATEGORICAL
-    }
+    reach: list[np.ndarray] = [np.ones(td.n, dtype=bool)]
 
     for round_no in range(1, n_boost_rounds + 1):
         total_w = float(w.sum())
-        best: _Candidate | None = None
-        for pos, mask in enumerate(masks):
-            for feature in td.features:
-                if td.kinds[feature] == CATEGORICAL:
-                    cand = _scan_categorical(td, feature, mask, w, ypm, total_w)
-                else:
-                    cand = _scan_numeric(td, feature, order[feature], mask, w, ypm, total_w)
-                if cand is None:
-                    continue
-                z, operand, yes_mask, no_mask = cand
-                if best is None or z < best.z:
-                    best = _Candidate(z, pos, feature, td.kinds[feature],
-                                      operand, yes_mask, no_mask)
+        weights = np.stack([np.where(ypm > 0, w, 0.0), np.where(ypm > 0, 0.0, w)])
+        best = None
+        for pos, mask in enumerate(reach):
+            cand = _best_condition(td, mask, w, weights, total_w)
+            if cand is not None and (best is None or cand[0] < best[0]):
+                best = cand + (pos,)
         if best is None:
             break
-
-        w1_yes = float(w[best.yes_mask & (td.y == 1)].sum())
-        w0_yes = float(w[best.yes_mask & (td.y == 0)].sum())
-        w1_no = float(w[best.no_mask & (td.y == 1)].sum())
-        w0_no = float(w[best.no_mask & (td.y == 0)].sum())
-        a_yes = _value(w1_yes, w0_yes)
-        a_no = _value(w1_no, w0_no)
-
-        if best.kind == CATEGORICAL:
-            cond = SplitCondition(best.feature, CATEGORICAL_EQ, category=str(best.operand))
-        else:
-            cond = SplitCondition(best.feature, NUMERIC_LT, threshold=float(best.operand))
+        _, cond, yes, no, pos = best
+        a_yes = _value(float(w[yes & (td.y == 1)].sum()), float(w[yes & (td.y == 0)].sum()))
+        a_no = _value(float(w[no & (td.y == 1)].sum()), float(w[no & (td.y == 0)].sum()))
         yes_node = PredictionNode(a_yes)
         no_node = PredictionNode(a_no)
-        nodes[best.node_pos].splitters.append(Splitter(round_no, cond, yes_node, no_node))
+        nodes[pos].splitters.append(Splitter(round_no, cond, yes_node, no_node))
 
-        w[best.yes_mask] *= np.exp(-ypm[best.yes_mask] * a_yes)
-        w[best.no_mask] *= np.exp(-ypm[best.no_mask] * a_no)
+        w[yes] *= np.exp(-ypm[yes] * a_yes)
+        w[no] *= np.exp(-ypm[no] * a_no)
         nodes += [yes_node, no_node]
-        masks += [best.yes_mask, best.no_mask]
+        reach += [yes, no]
         model.weight_totals.append(float(w.sum()))
 
     return model
 
 
-def _scan_numeric(td, feature, global_order, mask, w, ypm, total_w):
-    col = td.columns[feature]
-    sel = global_order[mask[global_order]]
-    sv = col[sel]
-    present = ~np.isnan(sv)
-    sel = sel[present]
-    sv = sv[present]
-    if len(sv) < 2:
+def _best_condition(td: TrainingData, mask, w, weights, total_w):
+    """Lowest-Z (z, condition, yes mask, no mask) over every feature at the
+    prediction node reached by the rows in `mask`, or None when nothing
+    splits it. Rows missing the feature fall in neither branch."""
+    best = (np.inf, None, None)  # z, feature, operand
+    for cols in column_blocks(np.arange(len(td.numeric)), np.count_nonzero(mask)):
+        values, cuts, (c1, c0) = cut_statistics(td, node_order(td, mask, cols), weights, cols)
+        t1, t0 = c1[:, -1:], c0[:, -1:]
+        z = 2.0 * (np.sqrt(c1 * c0) + np.sqrt((t1 - c1) * (t0 - c0))) + (total_w - (t1 + t0))
+        f, k = divmod(int(np.where(cuts, z, np.inf).argmin()), z.shape[1])
+        if cuts[f, k] and z[f, k] < best[0]:
+            best = (float(z[f, k]), td.numeric[cols[f]], (values[f, k] + values[f, k + 1]) / 2.0)
+    positive = td.y == 1
+    for feature, categories in td.categories.items():
+        codes = td.codes[feature]
+        present = (codes >= 0) & mask
+        w1_all = float(w[present & positive].sum())
+        w0_all = float(w[present & ~positive].sum())
+        rem = total_w - (w1_all + w0_all)
+        for code, cat in enumerate(categories):
+            eq = (codes == code) & present
+            if not eq.any() or eq.sum() == present.sum():
+                continue
+            w1_yes = float(w[eq & positive].sum())
+            w0_yes = float(w[eq & ~positive].sum())
+            z = 2.0 * (math.sqrt(w1_yes * w0_yes)
+                       + math.sqrt((w1_all - w1_yes) * (w0_all - w0_yes))) + rem
+            if z < best[0] or (z == best[0] and feature < best[1]):
+                best = (z, feature, cat)
+    z, feature, operand = best
+    if feature is None:
         return None
-    cuts = np.nonzero(sv[:-1] != sv[1:])[0]
-    if len(cuts) == 0:
-        return None
-    ws = w[sel]
-    pos = ypm[sel] > 0
-    cum1 = np.cumsum(np.where(pos, ws, 0.0))
-    cum0 = np.cumsum(np.where(pos, 0.0, ws))
-    w1_yes = cum1[cuts]
-    w0_yes = cum0[cuts]
-    w1_no = cum1[-1] - w1_yes
-    w0_no = cum0[-1] - w0_yes
-    rem = total_w - (cum1[-1] + cum0[-1])
-    z = 2.0 * (np.sqrt(w1_yes * w0_yes) + np.sqrt(w1_no * w0_no)) + rem
-    k = int(np.argmin(z))
-    threshold = (sv[cuts[k]] + sv[cuts[k] + 1]) / 2.0
-    yes_mask = mask & ~np.isnan(col) & (col < threshold)
-    no_mask = mask & ~np.isnan(col) & ~(col < threshold)
-    return float(z[k]), float(threshold), yes_mask, no_mask
-
-
-def _scan_categorical(td, feature, mask, w, ypm, total_w):
-    codes = td.codes[feature]
-    present = (codes >= 0) & mask
-    if not present.any():
-        return None
-    w1_all = float(w[present & (ypm > 0)].sum())
-    w0_all = float(w[present & (ypm < 0)].sum())
-    rem = total_w - (w1_all + w0_all)
-    best = None
-    for code, cat in enumerate(td.categories[feature]):
-        eq = (codes == code) & present
-        if not eq.any() or eq.sum() == present.sum():
-            continue
-        w1_yes = float(w[eq & (ypm > 0)].sum())
-        w0_yes = float(w[eq & (ypm < 0)].sum())
-        z = 2.0 * (math.sqrt(w1_yes * w0_yes)
-                   + math.sqrt((w1_all - w1_yes) * (w0_all - w0_yes))) + rem
-        if best is None or z < best[0]:
-            best = (z, cat, eq, present & ~eq)
-    return best
+    if feature in td.column:
+        x = td.X[td.column[feature]]
+        yes = mask & (x < operand)
+        no = mask & ~np.isnan(x) & ~(x < operand)
+        cond = SplitCondition(feature, NUMERIC_LT, threshold=float(operand))
+    else:
+        codes = td.codes[feature]
+        yes = mask & (codes == td.categories[feature].index(operand))
+        no = mask & (codes >= 0) & ~yes
+        cond = SplitCondition(feature, CATEGORICAL_EQ, category=str(operand))
+    return z, cond, yes, no

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..features import FeatureMatrix
-from .trees import TreeModel, TreeNode, train_cart
+from .conditions import TrainingData
+from .trees import TreeModel, TreeNode, fit_tree
 
 VOTE = "vote"
 MARGIN = "margin"
@@ -59,29 +60,20 @@ def _member_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng((seed, index))
 
 
-def _bootstrap_members(matrix: FeatureMatrix, n_trees: int, seed: int, bootstrap: bool,
-                       max_depth: int, min_leaf: int,
-                       features_per_split: int | None) -> list[TreeModel]:
-    members = []
-    for i in range(n_trees):
-        members.append(_train_member(matrix, seed, i, bootstrap, max_depth,
-                                     min_leaf, features_per_split))
-    return members
-
-
-def _train_member(matrix: FeatureMatrix, seed: int, index: int, bootstrap: bool,
+def _train_member(data: FeatureMatrix | TrainingData, seed: int, index: int, bootstrap: bool,
                   max_depth: int, min_leaf: int,
                   features_per_split: int | None) -> TreeModel:
     """One bagged tree; pure function of (matrix, seed, index) so member
-    training order cannot matter."""
+    training order cannot matter. Passing the matrix's TrainingData lets
+    members share one presort. The bootstrap sample is the multiplicity of
+    each row in n draws with replacement."""
+    td = data if isinstance(data, TrainingData) else TrainingData(data)
     rng = _member_rng(seed, index)
+    counts = None
     if bootstrap:
-        idx = np.sort(rng.integers(0, matrix.n_rows, size=matrix.n_rows))
-        sample = matrix.subset(idx)
-    else:
-        sample = matrix
-    return train_cart(sample, max_depth=max_depth, min_leaf=min_leaf,
-                      features_per_split=features_per_split, rng=rng)
+        counts = np.bincount(rng.integers(0, td.n, size=td.n), minlength=td.n)
+    return fit_tree(td, max_depth=max_depth, min_leaf=min_leaf, counts=counts,
+                    features_per_split=features_per_split, rng=rng)
 
 
 def train_bagging(matrix: FeatureMatrix, n_trees: int = 25, seed: int = 0,
@@ -89,8 +81,9 @@ def train_bagging(matrix: FeatureMatrix, n_trees: int = 25, seed: int = 0,
                   min_leaf: int = 1) -> EnsembleModel:
     if n_trees < 1:
         raise ValueError("n_trees must be positive")
-    members = _bootstrap_members(matrix, n_trees, seed, bootstrap, max_depth, min_leaf, None)
-    return EnsembleModel(VOTE, members)
+    td = TrainingData(matrix)
+    return EnsembleModel(VOTE, [_train_member(td, seed, i, bootstrap, max_depth, min_leaf, None)
+                                for i in range(n_trees)])
 
 
 def train_forest(matrix: FeatureMatrix, n_trees: int = 25, seed: int = 0,
@@ -100,9 +93,9 @@ def train_forest(matrix: FeatureMatrix, n_trees: int = 25, seed: int = 0,
         raise ValueError("n_trees must be positive")
     if features_per_split is None:
         features_per_split = max(1, int(round(math.sqrt(len(matrix.feature_names)))))
-    members = _bootstrap_members(matrix, n_trees, seed, bootstrap, max_depth,
-                                 min_leaf, features_per_split)
-    return EnsembleModel(VOTE, members)
+    td = TrainingData(matrix)
+    return EnsembleModel(VOTE, [_train_member(td, seed, i, bootstrap, max_depth, min_leaf,
+                                              features_per_split) for i in range(n_trees)])
 
 
 def _constant_member(matrix: FeatureMatrix) -> TreeModel:
@@ -121,8 +114,7 @@ def train_adaboost(matrix: FeatureMatrix, n_boost_rounds: int = 20,
     """
     if n_boost_rounds < 1:
         raise ValueError("n_boost_rounds must be positive")
-    if matrix.labels is None:
-        raise ValueError("training needs a labeled matrix")
+    td = TrainingData(matrix)
     n = matrix.n_rows
     y = matrix.labels.astype(np.float64)
     ypm = np.where(y == 1, 1.0, -1.0)
@@ -132,9 +124,9 @@ def train_adaboost(matrix: FeatureMatrix, n_boost_rounds: int = 20,
 
     for _ in range(n_boost_rounds):
         if base_algorithm == "stump":
-            member = train_cart(matrix, max_depth=1, min_leaf=1, weights=w)
+            member = fit_tree(td, max_depth=1, min_leaf=1, weights=w)
         elif base_algorithm == "cart":
-            member = train_cart(matrix, max_depth=max_depth, min_leaf=min_leaf, weights=w)
+            member = fit_tree(td, max_depth=max_depth, min_leaf=min_leaf, weights=w)
         else:
             raise ValueError(f"unsupported AdaBoost base learner {base_algorithm!r}")
         pred = (member.score_matrix(matrix) > 0.5).astype(np.float64)

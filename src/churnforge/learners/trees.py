@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..features import FeatureMatrix
-from .conditions import SplitCondition, TrainingData, best_split
+from ..features import FeatureMatrix, is_missing
+from .conditions import GiniSearch, SplitCondition, TrainingData
 
 
 @dataclass
@@ -54,23 +54,13 @@ class TreeModel:
         self._assign(node.left, idx[left], matrix, out)
         self._assign(node.right, idx[~left], matrix, out)
 
-    def depth(self) -> int:
-        def d(node):
-            return 0 if node.is_leaf else 1 + max(d(node.left), d(node.right))
-        return d(self.root)
-
-    def n_splits(self) -> int:
-        def c(node):
-            return 0 if node.is_leaf else 1 + c(node.left) + c(node.right)
-        return c(self.root)
-
 
 def _route_mask(cond: SplitCondition, values: np.ndarray) -> np.ndarray:
     if cond.kind == "numeric_lt":
         missing = np.isnan(values)
         left = values < cond.threshold
     else:
-        missing = np.array([v is None for v in values], dtype=bool)
+        missing = np.array([is_missing(v) for v in values], dtype=bool)
         left = np.array([v == cond.category for v in values], dtype=bool)
     if cond.missing_goes == "left":
         left = left | missing
@@ -79,51 +69,48 @@ def _route_mask(cond: SplitCondition, values: np.ndarray) -> np.ndarray:
     return left
 
 
-def _leaf(td: TrainingData, idx, weights) -> TreeNode:
-    y = td.y[idx]
-    if weights is None:
-        p1 = float(y.sum()) / len(y)
-    else:
-        w = weights[idx]
-        p1 = float(w[y == 1].sum() / w.sum())
-    return TreeNode(n=len(idx), p1=p1)
-
-
-def _grow(td: TrainingData, idx: np.ndarray, depth: int, max_depth: int, min_leaf: int,
-          weights, features_per_split, rng) -> TreeNode:
-    y = td.y[idx]
-    if depth >= max_depth or len(idx) < 2 * min_leaf or y.min() == y.max():
-        return _leaf(td, idx, weights)
+def _grow(search: GiniSearch, rows: np.ndarray, depth: int, max_depth: int,
+          features_per_split, rng) -> TreeNode:
+    td = search.td
+    n, p1, pure = search.leaf(rows)
+    tree = TreeNode(n, p1)
+    if depth >= max_depth or n < 2 * search.min_leaf or pure:
+        return tree
     if features_per_split is not None and features_per_split < len(td.features):
-        features = list(rng.choice(td.features, size=features_per_split, replace=False))
+        picked = rng.choice(len(td.features), size=features_per_split, replace=False)
+        features = [td.features[i] for i in sorted(picked)]
     else:
         features = td.features
-    choice = best_split(td, idx, features, weights=weights, min_leaf=min_leaf)
+    choice = search.best(rows, features)
     if choice is None:
-        return _leaf(td, idx, weights)
-    node = _leaf(td, idx, weights)
-    node.condition = choice.condition
-    node.left = _grow(td, choice.left, depth + 1, max_depth, min_leaf,
-                      weights, features_per_split, rng)
-    node.right = _grow(td, choice.right, depth + 1, max_depth, min_leaf,
-                       weights, features_per_split, rng)
-    return node
+        return tree
+    tree.condition, left, _ = choice
+    tree.left = _grow(search, rows[left], depth + 1, max_depth, features_per_split, rng)
+    tree.right = _grow(search, rows[~left], depth + 1, max_depth, features_per_split, rng)
+    return tree
+
+
+def fit_tree(td: TrainingData, max_depth: int = 6, min_leaf: int = 1,
+             counts: np.ndarray | None = None, weights: np.ndarray | None = None,
+             features_per_split: int | None = None,
+             rng: np.random.Generator | None = None) -> TreeModel:
+    """Grow one tree on presorted data; `counts` are bootstrap row
+    multiplicities (rows drawn 0 times take no part)."""
+    if max_depth < 1 or min_leaf < 1:
+        raise ValueError("max_depth and min_leaf must be positive")
+    if td.n == 0:
+        raise ValueError("cannot train on an empty matrix")
+    rows = np.arange(td.n) if counts is None else np.flatnonzero(counts)
+    search = GiniSearch(td, counts=counts, weights=weights, min_leaf=min_leaf)
+    return TreeModel(_grow(search, rows, 0, max_depth, features_per_split, rng),
+                     list(td.feature_names))
 
 
 def train_cart(matrix: FeatureMatrix, max_depth: int = 6, min_leaf: int = 1,
-               weights: np.ndarray | None = None,
-               features_per_split: int | None = None,
-               rng: np.random.Generator | None = None) -> TreeModel:
+               weights: np.ndarray | None = None) -> TreeModel:
     """Gini-greedy binary tree. A single-class matrix yields a constant
     classifier (one leaf), not an error."""
-    if max_depth < 1 or min_leaf < 1:
-        raise ValueError("max_depth and min_leaf must be positive")
-    td = TrainingData(matrix)
-    if td.n == 0:
-        raise ValueError("cannot train on an empty matrix")
-    root = _grow(td, np.arange(td.n), 0, max_depth, min_leaf, weights,
-                 features_per_split, rng)
-    return TreeModel(root, list(matrix.feature_names))
+    return fit_tree(TrainingData(matrix), max_depth, min_leaf, weights=weights)
 
 
 def train_stump(matrix: FeatureMatrix, weights: np.ndarray | None = None) -> TreeModel:

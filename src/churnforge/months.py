@@ -47,9 +47,6 @@ class Month:
         """Whole months from `other` to `self` (positive when self is later)."""
         return self.index - other.index
 
-    def first_day(self) -> dt.date:
-        return dt.date(self.year, self.month, 1)
-
     def last_day(self) -> dt.date:
         return dt.date(self.year, self.month, calendar.monthrange(self.year, self.month)[1])
 

@@ -13,7 +13,7 @@ import csv
 import os
 from dataclasses import dataclass, field
 
-from .data import TelcoDataset, read_tables, write_tables
+from .data import TelcoDataset, check_integrity, read_tables, write_tables
 from .evaluation import compare_learners, confusion, rank_features, select_best
 from .features import (FeatureMatrix, extract_churn, extract_winback,
                        read_matrix, standard_windows, write_matrix)
@@ -199,12 +199,8 @@ def cmd_generate(cfg: PipelineConfig) -> str:
             f"({churners} churners) to {cfg.data_dir}")
 
 
-def _windows(task: TaskSpec, role: str):
-    return standard_windows(task.task, role)
-
-
 def _extract(dataset: TelcoDataset, task: TaskSpec, role: str) -> FeatureMatrix:
-    window = _windows(task, role)
+    window = standard_windows(task.task, role)
     if task.task == "churn":
         # test matrices reuse the training window's column names so the
         # trained model applies position-for-position
@@ -214,7 +210,9 @@ def _extract(dataset: TelcoDataset, task: TaskSpec, role: str) -> FeatureMatrix:
 
 
 def cmd_extract(cfg: PipelineConfig) -> str:
-    dataset = filter_dataset(read_tables(cfg.data_dir), cfg.task)
+    dataset = read_tables(cfg.data_dir)
+    check_integrity(dataset)
+    dataset = filter_dataset(dataset, cfg.task)
     os.makedirs(cfg.out_dir, exist_ok=True)
     shapes = []
     for role in ("train", "test"):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from churnforge import extract_churn, rank_features, standard_windows, train_adtree, undersample
+from churnforge.features import is_missing
 from conftest import make_matrix, random_adtree, random_adtree_row
 
 
@@ -270,3 +271,34 @@ def test_splitter_features_rank_highly(planted_dataset):
     top_level = {sp.condition.feature for sp in model.root.splitters}
     assert top_level, "expected at least one top-level splitter"
     assert top_level <= set(ranked)
+
+
+def _category_matrix(nan=float("nan")):
+    loc = ["AJP", "TLS", nan, "AJP", None, "TLS", "AJP", nan, "KLC", "AJP", "TLS", nan]
+    return make_matrix(
+        {"x": [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0, 5.0, 3.0, 5.0, 8.0], "loc": loc},
+        labels=[1, 0, 0, 1, 0, 0, 1, 1, 0, 1, 0, 0],
+        kinds={"x": "numeric", "loc": "categorical"})
+
+
+def test_nan_in_categorical_column_is_missing():
+    m = _category_matrix()
+    model = train_adtree(m, n_boost_rounds=3)
+    assert "loc" in {sp.condition.feature for sp in model.iter_splitters()}
+    batch = model.score_matrix(m)
+    for i in range(m.n_rows):
+        row = m.row(i)
+        assert model.score_row(row) == path_enumeration_score(model, row)
+        # the batch path adds values in traversal order, the row path by fsum
+        assert batch[i] == pytest.approx(model.score_row(row), abs=1e-12)
+        if is_missing(row["loc"]):
+            assert model.score_row(row) == model.score_row({**row, "loc": None})
+
+
+def test_matrix_scoring_treats_absent_column_as_missing():
+    m = _category_matrix(nan=None)
+    model = train_adtree(m, n_boost_rounds=3)
+    assert "loc" in {sp.condition.feature for sp in model.iter_splitters()}
+    without_loc = make_matrix({"x": list(m.columns["x"])})
+    rows = [{"x": v} for v in m.columns["x"]]
+    assert model.score_matrix(without_loc).tolist() == [model.score_row(r) for r in rows]

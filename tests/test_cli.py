@@ -1,4 +1,5 @@
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -156,3 +157,15 @@ def test_cli_seed_override_changes_sampling(workdir, tmp_path):
     assert main(["compare", "--task", "1", "--config", workdir["config"],
                  "--out", str(out2), "--seed", "43"]) == 0
     assert os.path.exists(out2 / "task1_comparison.csv")
+
+
+def test_extract_rejects_table_with_unknown_reference(workdir, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(workdir["data"], data)
+    with open(data / "billing.csv", "a", encoding="utf-8") as f:
+        f.write("B_UNKNOWN,2011-05,100,100,100,0,100,0\n")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"data_dir = {data}\nout_dir = {tmp_path / 'out'}\n", encoding="utf-8")
+    assert main(["extract", "--task", "1", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: billing row references unknown billing_id B_UNKNOWN\n"

@@ -279,3 +279,17 @@ def test_row_and_matrix_paths_agree():
     batch = model.score_matrix(m)
     for i in range(m.n_rows):
         assert model.score_row(m.row(i)) == batch[i]
+
+
+def test_nan_in_categorical_column_routes_as_missing():
+    nan = float("nan")
+    m = make_matrix(
+        {"loc": ["AJP", nan, "TLS", "AJP", None, "TLS", nan, "AJP"],
+         "x": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]},
+        labels=[1, 1, 0, 1, 0, 0, 1, 1], kinds={"loc": "categorical", "x": "numeric"})
+    model = train_cart(m, max_depth=1)
+    assert model.root.condition.feature == "loc"
+    batch = model.score_matrix(m)
+    for i in range(m.n_rows):
+        assert model.score_row(m.row(i)) == batch[i]
+    assert model.score_row({"loc": nan, "x": 1.0}) == model.score_row({"loc": None, "x": 1.0})

@@ -9,8 +9,12 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
+import itertools
 import os
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .months import Month
 
@@ -22,7 +26,7 @@ class DatasetFormatError(ValueError):
     """Raised for unreadable or invariant-violating table files."""
 
 
-@dataclass
+@dataclass(slots=True)
 class SubscriberRecord:
     customer_id: str
     billing_id: str
@@ -39,7 +43,7 @@ class SubscriberRecord:
     comeback_date: dt.date | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class BillingMonthRecord:
     billing_id: str
     month: Month
@@ -51,7 +55,7 @@ class BillingMonthRecord:
     credit_adj: int  # may be negative (credits)
 
 
-@dataclass
+@dataclass(slots=True)
 class UsageMonthRecord:
     billing_id: str
     month: Month
@@ -61,7 +65,7 @@ class UsageMonthRecord:
     voice_calls: int
 
 
-@dataclass
+@dataclass(slots=True)
 class ServiceRequestRecord:
     customer_id: str
     request_date: dt.date
@@ -74,14 +78,6 @@ class TelcoDataset:
     billing: list[BillingMonthRecord] = field(default_factory=list)
     usage: list[UsageMonthRecord] = field(default_factory=list)
     service_requests: list[ServiceRequestRecord] = field(default_factory=list)
-
-    def covered_months(self) -> list[Month]:
-        """Inclusive month span observed in the billing and usage tables."""
-        months = {r.month for r in self.billing} | {r.month for r in self.usage}
-        if not months:
-            return []
-        lo, hi = min(months), max(months)
-        return [lo.plus(i) for i in range(hi.diff(lo) + 1)]
 
 
 def check_integrity(dataset: TelcoDataset) -> None:
@@ -143,70 +139,105 @@ def write_tables(dataset: TelcoDataset, directory: str) -> None:
     """
     os.makedirs(directory, exist_ok=True)
 
-    def _open(name):
-        return open(os.path.join(directory, FILENAMES[name]), "w", encoding="utf-8", newline="")
+    def _write(name, header, rows):
+        with open(os.path.join(directory, FILENAMES[name]), "w", encoding="utf-8",
+                  newline="") as f:
+            w = csv.writer(f, lineterminator="\n")
+            w.writerow(header)
+            w.writerows(rows)
 
-    with _open("subscribers") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(SUBSCRIBER_COLUMNS)
-        for s in sorted(dataset.subscribers, key=lambda s: (s.customer_id, s.billing_id, s.service_id)):
-            w.writerow([
-                s.customer_id, s.billing_id, s.service_id, s.segment, s.service_type,
-                s.activation_date.isoformat(), s.customer_since.isoformat(),
-                s.contract_period, s.price_start, s.t_location, s.hsbb_area,
-                _date(s.termination_date), _date(s.comeback_date),
-            ])
-    with _open("billing") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(BILLING_COLUMNS)
-        for r in sorted(dataset.billing, key=lambda r: (r.billing_id, r.month)):
-            w.writerow([r.billing_id, str(r.month), r.current_bill_amt, r.last_bill_amt,
-                        r.amt_2pay, r.outstanding, r.payment, r.credit_adj])
-    with _open("usage") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(USAGE_COLUMNS)
-        for r in sorted(dataset.usage, key=lambda r: (r.billing_id, r.month)):
-            w.writerow([r.billing_id, str(r.month), repr(float(r.download_mb)),
-                        repr(float(r.upload_mb)), repr(float(r.voice_minutes)),
-                        int(r.voice_calls)])
-    with _open("service_requests") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(REQUEST_COLUMNS)
+    by_account_month = lambda r: (r.billing_id, r.month.index)  # noqa: E731
+    _write("subscribers", SUBSCRIBER_COLUMNS, (
+        [s.customer_id, s.billing_id, s.service_id, s.segment, s.service_type,
+         s.activation_date.isoformat(), s.customer_since.isoformat(),
+         s.contract_period, s.price_start, s.t_location, s.hsbb_area,
+         _date(s.termination_date), _date(s.comeback_date)]
+        for s in sorted(dataset.subscribers,
+                        key=lambda s: (s.customer_id, s.billing_id, s.service_id))))
+    _write("billing", BILLING_COLUMNS, (
+        [r.billing_id, str(r.month), r.current_bill_amt, r.last_bill_amt,
+         r.amt_2pay, r.outstanding, r.payment, r.credit_adj]
+        for r in sorted(dataset.billing, key=by_account_month)))
+    _write("usage", USAGE_COLUMNS, (
+        [r.billing_id, str(r.month), repr(float(r.download_mb)), repr(float(r.upload_mb)),
+         repr(float(r.voice_minutes)), int(r.voice_calls)]
+        for r in sorted(dataset.usage, key=by_account_month)))
+    _write("service_requests", REQUEST_COLUMNS, (
+        [r.customer_id, r.request_date.isoformat(), r.request_code]
         for r in sorted(dataset.service_requests,
-                        key=lambda r: (r.customer_id, r.request_date, r.request_code)):
-            w.writerow([r.customer_id, r.request_date.isoformat(), r.request_code])
+                        key=lambda r: (r.customer_id, r.request_date, r.request_code))))
+
+
+_BLOCK_ROWS = 4096  # rows split into fields at a time: bounds the raw strings held
 
 
 class _TableReader:
-    """CSV reader that reports file name and line number on any defect."""
+    """One table file, converted a block of rows and a column at a time.
+
+    Checks run in the order a row-by-row reader applies them within a row.
+    Once a check fails on some row, later checks look only at the rows
+    before it and no further block is read, so the error raised names the
+    defect a row-by-row reader would have met first, with file and line.
+    """
 
     def __init__(self, directory: str, name: str, columns: list[str]):
         self.path = os.path.join(directory, FILENAMES[name])
-        self.columns = columns
         if not os.path.exists(self.path):
             raise DatasetFormatError(f"missing table file: {self.path}")
+        self.names = columns
+        self.start = 0  # table row of the block's first row
+        self.n = 0  # rows of the block still to check
+        self.columns: dict[str, list[str]] = {}
+        self.error: DatasetFormatError | None = None
 
-    def rows(self):
+    def blocks(self):
+        """Yield once per block of rows, with its raw fields in ``columns``;
+        raise the first defect after the block holding it."""
+        width = len(self.names)
         with open(self.path, encoding="utf-8", newline="") as f:
             reader = csv.reader(f)
             header = next(reader, None)
-            if header != self.columns:
+            if header != self.names:
                 raise DatasetFormatError(f"{self.path}:1: bad header {header!r}")
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(self.columns):
-                    raise DatasetFormatError(
-                        f"{self.path}:{lineno}: expected {len(self.columns)} fields, got {len(row)}")
-                yield lineno, row
+            for chunk in iter(lambda: list(itertools.islice(reader, _BLOCK_ROWS)), []):
+                widths = list(map(len, chunk))
+                self.n = len(chunk)
+                if widths.count(width) < self.n:
+                    i = next(i for i, w in enumerate(widths) if w != width)
+                    self.fail(i, f"expected {width} fields, got {widths[i]}")
+                fields = list(itertools.chain.from_iterable(chunk[:self.n]))
+                self.columns = {c: fields[j::width] for j, c in enumerate(self.names)}
+                yield
+                if self.error is not None:
+                    raise self.error
+                self.start += self.n
 
-    def fail(self, lineno: int, message: str):
-        raise DatasetFormatError(f"{self.path}:{lineno}: {message}")
+    def fail(self, i: int, message: str) -> None:
+        """Record a defect in row ``i`` of the block; check no row from it on."""
+        self.n = i
+        self.error = DatasetFormatError(f"{self.path}:{self.start + i + 2}: {message}")
 
+    def column(self, name: str) -> list[str]:
+        return self.columns[name][:self.n]
 
-def _parse_with(reader: _TableReader, lineno: int, parse, raw, what: str):
-    try:
-        return parse(raw)
-    except (ValueError, TypeError):
-        reader.fail(lineno, f"malformed {what}: {raw!r}")
+    def parse(self, name: str, parse) -> list:
+        raw = self.column(name)
+        try:
+            return list(map(parse, raw))
+        except (ValueError, TypeError):
+            for i, text in enumerate(raw):
+                try:
+                    parse(text)
+                except (ValueError, TypeError):
+                    self.fail(i, f"malformed {name}: {text!r}")
+                    return list(map(parse, raw[:i]))
+
+    def check(self, ok, message) -> None:
+        """Fail the first checked row whose ``ok`` flag is false: ``message(row)``."""
+        ok = np.asarray(ok[:self.n], dtype=bool)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            self.fail(i, message(i))
 
 
 def read_tables(directory: str) -> TelcoDataset:
@@ -215,67 +246,52 @@ def read_tables(directory: str) -> TelcoDataset:
     Defective rows raise DatasetFormatError naming the file and line.
     """
     ds = TelcoDataset()
+    date = functools.cache(dt.date.fromisoformat)  # dates and months repeat: parse each once
+    optional_date = lambda text: date(text) if text else None  # noqa: E731
+    month = functools.cache(Month.parse)
+    month_index = functools.cache(lambda text: month(text).index)
 
     r = _TableReader(directory, "subscribers", SUBSCRIBER_COLUMNS)
-    for lineno, row in r.rows():
-        (cust, bill, serv, segment, stype, act, since, period, price, loc, hsbb,
-         term, back) = row
-        if segment not in SEGMENTS:
-            r.fail(lineno, f"unknown segment {segment!r}")
-        if stype not in SERVICE_TYPES:
-            r.fail(lineno, f"unknown service_type {stype!r}")
-        rec = SubscriberRecord(
-            cust, bill, serv, segment, stype,
-            _parse_with(r, lineno, dt.date.fromisoformat, act, "activation_date"),
-            _parse_with(r, lineno, dt.date.fromisoformat, since, "customer_since"),
-            _parse_with(r, lineno, int, period, "contract_period"),
-            _parse_with(r, lineno, int, price, "price_start"),
-            loc,
-            _parse_with(r, lineno, int, hsbb, "hsbb_area"),
-            _parse_with(r, lineno, dt.date.fromisoformat, term, "termination_date") if term else None,
-            _parse_with(r, lineno, dt.date.fromisoformat, back, "comeback_date") if back else None,
-        )
-        if rec.contract_period < 0:
-            r.fail(lineno, f"negative contract_period {rec.contract_period}")
-        if rec.price_start < 0:
-            r.fail(lineno, f"negative price_start {rec.price_start}")
-        ds.subscribers.append(rec)
+    for _ in r.blocks():
+        for name, allowed in (("segment", SEGMENTS), ("service_type", SERVICE_TYPES)):
+            raw = r.column(name)
+            r.check([v in allowed for v in raw], lambda i: f"unknown {name} {raw[i]!r}")
+        values = {c: r.parse(c, parse) for c, parse in (
+            ("activation_date", date), ("customer_since", date),
+            ("contract_period", int), ("price_start", int), ("hsbb_area", int),
+            ("termination_date", optional_date), ("comeback_date", optional_date))}
+        for name in ("contract_period", "price_start"):
+            col = values[name]
+            r.check([v >= 0 for v in col[:r.n]], lambda i: f"negative {name} {col[i]}")
+        ds.subscribers += map(SubscriberRecord, *(
+            values[c] if c in values else r.column(c) for c in SUBSCRIBER_COLUMNS))
 
-    r = _TableReader(directory, "billing", BILLING_COLUMNS)
-    seen: set[tuple[str, Month]] = set()
-    for lineno, row in r.rows():
-        month = _parse_with(r, lineno, Month.parse, row[1], "month")
-        key = (row[0], month)
-        if key in seen:
-            r.fail(lineno, f"duplicate (billing_id, month) {row[0]}/{month}")
-        seen.add(key)
-        ints = [_parse_with(r, lineno, int, v, BILLING_COLUMNS[i + 2])
-                for i, v in enumerate(row[2:])]
-        if ints[0] < 0 or ints[1] < 0 or ints[2] < 0 or ints[3] < 0:
-            r.fail(lineno, "negative bill amount")
-        ds.billing.append(BillingMonthRecord(row[0], month, *ints))
-
-    r = _TableReader(directory, "usage", USAGE_COLUMNS)
-    seen = set()
-    for lineno, row in r.rows():
-        month = _parse_with(r, lineno, Month.parse, row[1], "month")
-        key = (row[0], month)
-        if key in seen:
-            r.fail(lineno, f"duplicate (billing_id, month) {row[0]}/{month}")
-        seen.add(key)
-        dl = _parse_with(r, lineno, float, row[2], "download_mb")
-        ul = _parse_with(r, lineno, float, row[3], "upload_mb")
-        vmin = _parse_with(r, lineno, float, row[4], "voice_minutes")
-        calls = _parse_with(r, lineno, int, row[5], "voice_calls")
-        for name, value in (("download_mb", dl), ("upload_mb", ul),
-                            ("voice_minutes", vmin), ("voice_calls", calls)):
-            if not value >= 0 or value != value or value in (float("inf"),):
-                r.fail(lineno, f"{name} must be finite and non-negative, got {value!r}")
-        ds.usage.append(UsageMonthRecord(row[0], month, dl, ul, vmin, calls))
+    for name, columns, record, parse in (("billing", BILLING_COLUMNS, BillingMonthRecord, int),
+                                         ("usage", USAGE_COLUMNS, UsageMonthRecord, float)):
+        records = getattr(ds, name)
+        r, seen = _TableReader(directory, name, columns), set()
+        for _ in r.blocks():
+            months = r.parse("month", month)
+            ids = r.column("billing_id")
+            keys = list(zip(ids, r.parse("month", month_index)))
+            seen.update(keys)
+            if len(seen) < len(records) + len(keys):  # a key repeats: find its first row
+                seen = {(rec.billing_id, rec.month.index) for rec in records}
+                r.check([not (key in seen or seen.add(key)) for key in keys],
+                        lambda i: f"duplicate (billing_id, month) {ids[i]}/{months[i]}")
+            values = [r.parse(c, int if c == "voice_calls" else parse) for c in columns[2:]]
+            if name == "billing":
+                amounts = np.array([v[:r.n] for v in values[:4]])
+                r.check((amounts >= 0).all(axis=0), lambda i: "negative bill amount")
+            else:
+                for c, col in zip(columns[2:], values):
+                    a = np.array(col[:r.n])
+                    r.check((a >= 0) & (a < np.inf),  # false for NaN too
+                            lambda i: f"{c} must be finite and non-negative, got {col[i]!r}")
+            records += map(record, ids, months, *values)
 
     r = _TableReader(directory, "service_requests", REQUEST_COLUMNS)
-    for lineno, row in r.rows():
-        ds.service_requests.append(ServiceRequestRecord(
-            row[0], _parse_with(r, lineno, dt.date.fromisoformat, row[1], "request_date"), row[2]))
-
+    for _ in r.blocks():
+        ds.service_requests += map(ServiceRequestRecord, r.column("customer_id"),
+                                   r.parse("request_date", date), r.column("request_code"))
     return ds

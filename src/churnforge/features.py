@@ -29,6 +29,8 @@ MONETARY_AVG_NAMES = [
     "AMT_2PAY_avg", "OUTSTANDING_avg", "PAYMENT_avg",
     "LAST_BILL_AMT_avg", "CURRENT_BILL_AMT_avg", "CREDIT_ADJ_avg",
 ]
+_MONETARY_FIELDS = ["amt_2pay", "outstanding", "payment", "last_bill_amt",
+                    "current_bill_amt", "credit_adj"]  # billing cents behind each average
 DERIVED_NAMES = [
     "DIFF_AMT_2PAY_PRICE_START", "DIFF_CURRENT_LAST_BILL_AMT_avg",
     "ACTIVATION_DATE_TENURE", "CUSTOMER_TENURE_DIFF",
@@ -192,9 +194,9 @@ def feature_schema(months: tuple[Month, ...] | None) -> tuple[list[str], dict[st
 
 def monthly_average(values) -> float:
     """Mean over the window months; NaN as soon as any operand is missing."""
-    if any(is_missing(v) for v in values):
+    if None in values:
         return float("nan")
-    return sum(values) / len(values)
+    return sum(values) / len(values)  # a NaN operand makes the sum NaN
 
 
 def derive(aggregates: dict) -> dict:
@@ -216,30 +218,38 @@ def derive(aggregates: dict) -> dict:
 # extraction
 # ---------------------------------------------------------------------------
 
-class _Tables:
-    """Join indexes over the dataset, built once per extraction."""
+class TableIndex:
+    """Join indexes over one dataset, keyed by (id, month index).
+
+    Pass one TableIndex in place of the dataset to several ``extract_*``
+    calls to build the indexes once.
+    """
 
     def __init__(self, dataset: TelcoDataset):
         self.by_billing: dict[str, list] = {}
         for s in dataset.subscribers:
             self.by_billing.setdefault(s.billing_id, []).append(s)
-        self.billing = {(r.billing_id, r.month): r for r in dataset.billing}
-        self.usage = {(r.billing_id, r.month): r for r in dataset.usage}
-        self.requests = Counter(
-            (r.customer_id, Month.of(r.request_date)) for r in dataset.service_requests)
-        self.coverage = dataset.covered_months()
+        self.billing = {(r.billing_id, r.month.index): r for r in dataset.billing}
+        self.usage = {(r.billing_id, r.month.index): r for r in dataset.usage}
+        self.requests = Counter((r.customer_id, Month.index_of(r.request_date))
+                                for r in dataset.service_requests)
+        observed = {m for _, m in self.billing} | {m for _, m in self.usage}
+        self.coverage = (min(observed), max(observed)) if observed else None
 
     def check_covered(self, months, what: str):
-        if not self.coverage:
+        if self.coverage is None:
             raise ValueError(f"{what}: dataset has no billing/usage rows")
-        if months[0] < self.coverage[0] or self.coverage[-1] < months[-1]:
+        lo, hi = self.coverage
+        if months[0].index < lo or hi < months[-1].index:
             raise ValueError(
                 f"{what}: months {months[0]}..{months[-1]} outside dataset coverage "
-                f"{self.coverage[0]}..{self.coverage[-1]}")
+                f"{Month.from_index(lo)}..{Month.from_index(hi)}")
 
 
-def _row_values(tables: _Tables, billing_id: str, services, rep, months) -> dict:
-    """All feature values for one billing account over its window months.
+def _row_values(tables: TableIndex, billing_id: str, services, rep, months: list[int],
+                names: list[str]) -> dict:
+    """All feature values for one billing account over its window months
+    (month indexes), the monthly ones under ``names``, four per month.
 
     `rep` is the service whose subscriber-level fields (price, contract,
     location, dates) represent the account.
@@ -247,38 +257,22 @@ def _row_values(tables: _Tables, billing_id: str, services, rep, months) -> dict
     customers = {s.customer_id for s in services}
     values: dict[str, object] = {}
 
-    dl, ul, vm = [], [], []
-    for m in months:
-        tag = m.yymm()
+    dl, ul = [], []
+    for j, m in enumerate(months):
         u = tables.usage.get((billing_id, m))
-        d = u.download_mb if u else 0.0
-        up = u.upload_mb if u else 0.0
-        v = u.voice_minutes if u else 0.0
+        d, up, v = (u.download_mb, u.upload_mb, u.voice_minutes) if u else (0.0, 0.0, 0.0)
+        dl.append(d), ul.append(up)
         sr = float(sum(tables.requests.get((c, m), 0) for c in customers))
-        dl.append(d), ul.append(up), vm.append(v)
-        values[f"DL{tag}"] = d
-        values[f"UL{tag}"] = up
-        values[f"VOICE_MIN{tag}"] = v
-        values[f"SR_COUNT{tag}"] = sr
+        values.update(zip(names[4 * j:4 * j + 4], (d, up, v, sr)))
 
     values["3M_DL_avg"] = monthly_average(dl)
     values["3M_UL_avg"] = monthly_average(ul)
 
     bills = [tables.billing.get((billing_id, m)) for m in months]
-    if any(b is None for b in bills):
-        for name in MONETARY_AVG_NAMES:
-            values[name] = float("nan")
-    else:
-        cents = {
-            "AMT_2PAY_avg": [b.amt_2pay for b in bills],
-            "OUTSTANDING_avg": [b.outstanding for b in bills],
-            "PAYMENT_avg": [b.payment for b in bills],
-            "LAST_BILL_AMT_avg": [b.last_bill_amt for b in bills],
-            "CURRENT_BILL_AMT_avg": [b.current_bill_amt for b in bills],
-            "CREDIT_ADJ_avg": [b.credit_adj for b in bills],
-        }
-        for name, vals in cents.items():
-            values[name] = monthly_average(vals) / 100.0
+    complete = all(b is not None for b in bills)
+    for name, field in zip(MONETARY_AVG_NAMES, _MONETARY_FIELDS):
+        values[name] = (monthly_average([getattr(b, field) for b in bills]) / 100.0
+                        if complete else float("nan"))
 
     values["Contract_Period"] = float(rep.contract_period)
     values["HSBB_Area"] = float(rep.hsbb_area)
@@ -286,53 +280,22 @@ def _row_values(tables: _Tables, billing_id: str, services, rep, months) -> dict
     values["Price_Start"] = rep.price_start / 100.0
     values.update(derive(values))
 
-    window_end = months[-1]
-    values["ACTIVATION_DATE_TENURE"] = float(window_end.diff(Month.of(rep.activation_date)))
-    values["CUSTOMER_TENURE_DIFF"] = float(
-        Month.of(rep.activation_date).diff(Month.of(rep.customer_since)))
+    activation = Month.index_of(rep.activation_date)
+    values["ACTIVATION_DATE_TENURE"] = float(months[-1] - activation)
+    values["CUSTOMER_TENURE_DIFF"] = float(activation - Month.index_of(rep.customer_since))
     return values
-
-
-def _rename_positional(values: dict, months) -> dict:
-    """Map calendar-coded monthly names onto the positional _M1.._M3 schema."""
-    out = dict(values)
-    for j, m in enumerate(months, start=1):
-        tag = m.yymm()
-        for stem in ("DL", "UL", "VOICE_MIN", "SR_COUNT"):
-            out[f"{stem}_M{j}"] = out.pop(f"{stem}{tag}")
-    return out
-
-
-def _rename_months(values: dict, months, naming_months) -> dict:
-    """Map one window's calendar-coded names onto another's, by position."""
-    out = dict(values)
-    for m, name_m in zip(months, naming_months):
-        if m == name_m:
-            continue
-        for stem in ("DL", "UL", "VOICE_MIN", "SR_COUNT"):
-            out[f"{stem}{name_m.yymm()}"] = out.pop(f"{stem}{m.yymm()}")
-    return out
 
 
 def _build_matrix(rows: list[tuple[str, dict, int]], months_key) -> FeatureMatrix:
     names, kinds = feature_schema(months_key)
-    n = len(rows)
-    columns: dict[str, np.ndarray] = {}
-    for name in names:
-        if kinds[name] == NUMERIC:
-            columns[name] = np.array([r[1][name] for r in rows], dtype=np.float64)
-        else:
-            columns[name] = np.array([r[1][name] for r in rows], dtype=object)
-    return FeatureMatrix(
-        billing_ids=[r[0] for r in rows],
-        feature_names=names,
-        kinds=kinds,
-        columns=columns,
-        labels=np.array([r[2] for r in rows], dtype=np.int8) if n else np.zeros(0, np.int8),
-    )
+    columns = {name: np.array([r[1][name] for r in rows],
+                              dtype=np.float64 if kinds[name] == NUMERIC else object)
+               for name in names}
+    return FeatureMatrix([r[0] for r in rows], names, kinds, columns,
+                         np.array([r[2] for r in rows], dtype=np.int8))
 
 
-def extract_churn(dataset: TelcoDataset, window: WindowSpec,
+def extract_churn(dataset: TelcoDataset | TableIndex, window: WindowSpec,
                   naming_months: tuple[Month, ...] | None = None) -> FeatureMatrix:
     """One row per billing account still active at the end of the feature
     window; label 1 iff any of its services terminates inside the label
@@ -349,37 +312,37 @@ def extract_churn(dataset: TelcoDataset, window: WindowSpec,
         raise ValueError("extract_churn requires a churn window")
     if naming_months is not None and len(naming_months) != 3:
         raise ValueError("naming_months must list exactly 3 months")
-    tables = _Tables(dataset)
+    tables = dataset if isinstance(dataset, TableIndex) else TableIndex(dataset)
+    naming_months = naming_months or window.feature_months
     if not tables.by_billing:
-        return _build_matrix([], naming_months or window.feature_months)
+        return _build_matrix([], naming_months)
     tables.check_covered(window.feature_months, "feature window")
 
-    months = window.feature_months
+    months = [m.index for m in window.feature_months]
+    names = monthly_feature_names(naming_months)
     window_end = months[-1]
-    label_set = set(window.label_months)
+    label_set = {m.index for m in window.label_months}
 
     rows = []
     for billing_id in sorted(tables.by_billing):
         services = tables.by_billing[billing_id]
         active = [
             s for s in services
-            if Month.of(s.activation_date) <= window_end
-            and (s.termination_date is None or window_end < Month.of(s.termination_date))
+            if Month.index_of(s.activation_date) <= window_end
+            and (s.termination_date is None or window_end < Month.index_of(s.termination_date))
         ]
         if not active:
             continue
         label = int(any(
-            s.termination_date is not None and Month.of(s.termination_date) in label_set
+            s.termination_date is not None and Month.index_of(s.termination_date) in label_set
             for s in services))
         rep = min(active, key=lambda s: (s.activation_date, s.service_id))
-        values = _row_values(tables, billing_id, active, rep, months)
-        if naming_months is not None and naming_months != months:
-            values = _rename_months(values, months, naming_months)
-        rows.append((billing_id, values, label))
-    return _build_matrix(rows, naming_months or months)
+        rows.append((billing_id, _row_values(tables, billing_id, active, rep, months, names),
+                     label))
+    return _build_matrix(rows, naming_months)
 
 
-def extract_winback(dataset: TelcoDataset, termination_range: tuple[Month, Month],
+def extract_winback(dataset: TelcoDataset | TableIndex, termination_range: tuple[Month, Month],
                     label_months) -> FeatureMatrix:
     """One row per billing account with a service termination inside
     termination_range; features come from the 3 months preceding that
@@ -390,32 +353,34 @@ def extract_winback(dataset: TelcoDataset, termination_range: tuple[Month, Month
         raise ValueError("empty termination_range")
     label_months = tuple(label_months)
     _require_consecutive(label_months, "label_months")
-    tables = _Tables(dataset)
+    tables = dataset if isinstance(dataset, TableIndex) else TableIndex(dataset)
     if not tables.by_billing:
         return _build_matrix([], None)
     tables.check_covered([lo.plus(-3), hi.plus(-1)], "win-back feature window")
 
-    label_set = set(label_months)
+    names = monthly_feature_names(None)
+    label_set = {m.index for m in label_months}
     rows = []
     for billing_id in sorted(tables.by_billing):
         services = tables.by_billing[billing_id]
         churned = [
             s for s in services
-            if s.termination_date is not None and lo <= Month.of(s.termination_date) <= hi
+            if s.termination_date is not None
+            and lo.index <= Month.index_of(s.termination_date) <= hi.index
         ]
         if not churned:
             continue
-        rep = min(churned, key=lambda s: (Month.of(s.termination_date), s.service_id))
-        term_month = Month.of(rep.termination_date)
-        months = tuple(term_month.plus(-k) for k in (3, 2, 1))
+        rep = min(churned, key=lambda s: (Month.index_of(s.termination_date), s.service_id))
+        term = Month.index_of(rep.termination_date)
+        months = [term - 3, term - 2, term - 1]
         if set(months) & label_set:
-            raise ValueError(
-                f"{billing_id}: feature months {months[0]}..{months[-1]} overlap label months")
+            raise ValueError(f"{billing_id}: feature months {Month.from_index(months[0])}.."
+                             f"{Month.from_index(months[-1])} overlap label months")
         label = int(any(
-            s.comeback_date is not None and Month.of(s.comeback_date) in label_set
+            s.comeback_date is not None and Month.index_of(s.comeback_date) in label_set
             for s in churned))
-        values = _rename_positional(_row_values(tables, billing_id, churned, rep, months), months)
-        rows.append((billing_id, values, label))
+        rows.append((billing_id, _row_values(tables, billing_id, churned, rep, months, names),
+                     label))
     return _build_matrix(rows, None)
 
 
@@ -425,25 +390,21 @@ def extract_winback(dataset: TelcoDataset, termination_range: tuple[Month, Month
 
 def write_matrix(matrix: FeatureMatrix, path: str) -> None:
     """Flat CSV: billing_id, feature columns, optional trailing label."""
+    columns = [matrix.billing_ids]
+    for name in matrix.feature_names:
+        if matrix.kinds[name] == NUMERIC:
+            values = np.asarray(matrix.columns[name], dtype=np.float64).tolist()
+            columns.append(["" if v != v else repr(v) for v in values])
+        else:
+            columns.append(["" if is_missing(v) else v for v in matrix.columns[name]])
+    header = ["billing_id"] + list(matrix.feature_names)
+    if matrix.labels is not None:
+        header.append("label")
+        columns.append(matrix.labels.tolist())
     with open(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
-        header = ["billing_id"] + list(matrix.feature_names)
-        if matrix.labels is not None:
-            header.append("label")
         w.writerow(header)
-        for i in range(matrix.n_rows):
-            row = [matrix.billing_ids[i]]
-            for name in matrix.feature_names:
-                v = matrix.columns[name][i]
-                if is_missing(v):
-                    row.append("")
-                elif matrix.kinds[name] == NUMERIC:
-                    row.append(repr(float(v)))
-                else:
-                    row.append(v)
-            if matrix.labels is not None:
-                row.append(int(matrix.labels[i]))
-            w.writerow(row)
+        w.writerows(zip(*columns))
 
 
 def read_matrix(path: str) -> FeatureMatrix:
@@ -463,28 +424,16 @@ def read_matrix(path: str) -> FeatureMatrix:
             raw_rows.append(row)
 
     billing_ids = [r[0] for r in raw_rows]
-    labels = None
-    if has_label:
-        labels = np.array([int(r[-1]) for r in raw_rows], dtype=np.int8)
+    labels = np.array([int(r[-1]) for r in raw_rows], dtype=np.int8) if has_label else None
     columns: dict[str, np.ndarray] = {}
     kinds: dict[str, str] = {}
     for j, name in enumerate(names, start=1):
         cells = [r[j] for r in raw_rows]
-        numeric = True
-        for c in cells:
-            if c == "":
-                continue
-            try:
-                float(c)
-            except ValueError:
-                numeric = False
-                break
-        if numeric:
-            kinds[name] = NUMERIC
-            columns[name] = np.array([float(c) if c != "" else float("nan") for c in cells],
+        try:
+            columns[name] = np.array([float(c) if c != "" else np.nan for c in cells],
                                      dtype=np.float64)
-        else:
+            kinds[name] = NUMERIC
+        except ValueError:
             kinds[name] = CATEGORICAL
             columns[name] = np.array([c if c != "" else None for c in cells], dtype=object)
-    return FeatureMatrix(billing_ids, list(names), kinds, columns,
-                         labels if labels is not None else None)
+    return FeatureMatrix(billing_ids, list(names), kinds, columns, labels)

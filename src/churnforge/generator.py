@@ -11,7 +11,6 @@ months, but deliberately less sharply than usage.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +19,8 @@ from .data import (BillingMonthRecord, ServiceRequestRecord, SubscriberRecord,
                    TelcoDataset, UsageMonthRecord)
 from .months import Month, month_range
 
-# decline ramp, keyed by whole months until the termination month
-_RAMP = {0: 0.95, 1: 0.9, 2: 0.6, 3: 0.3}
+# decline ramp, indexed by whole months until the termination month; 0 from 4 on
+_RAMP = np.array([0.95, 0.9, 0.6, 0.3, 0.0])
 
 _LOCATIONS = ["AJP", "TLS", "KLC", "PNG", "JBU", "MLK", "KTN", "SRW"]
 _LOCATION_W = [0.22, 0.18, 0.15, 0.12, 0.10, 0.09, 0.08, 0.06]
@@ -59,27 +58,27 @@ class GeneratorConfig:
             raise ValueError("months range must cover at least 6 months")
 
 
-def _decline(rng_month_to_term: int, strength: float) -> float:
-    return 1.0 - strength * _RAMP.get(rng_month_to_term, 0.0)
-
-
 @dataclass
 class _ServiceBlock:
-    """Everything one subscriber record contributes, drawn from its own stream."""
+    """Everything one subscriber record contributes, drawn from its own stream.
+
+    Monthly sequences hold one entry per month with table rows, starting
+    ``first`` months after the coverage start (through the termination
+    month for churners).
+    """
 
     record: SubscriberRecord
-    first_month: Month  # first month with table rows
-    last_month: Month   # last month with table rows (termination month for churners)
-    dl: dict[Month, float]
-    ul: dict[Month, float]
-    vmin: dict[Month, float]
-    vcalls: dict[Month, int]
-    charge: dict[Month, int]  # cents billed for this service per month
+    first: int
+    dl: list[float]
+    ul: list[float]
+    vmin: list[float]
+    vcalls: list[int]
+    charge: list[int]  # cents billed for this service per month
     requests: list[ServiceRequestRecord]
     # account-level dynamics, used only when this record leads its billing account
-    pay_ratio: dict[Month, float]
-    pay_reversal: dict[Month, bool]
-    credit: dict[Month, int]
+    pay_ratio: list[float]
+    pay_reversal: list[bool]
+    credit: list[int]
     first_last_bill: int
 
 
@@ -129,8 +128,8 @@ def _build_service(cfg: GeneratorConfig, segment: str, idx: int,
     term_month = None
     termination = comeback = None
     if is_churner:
-        n_term = n_cov  # termination months span [cov_start+3, cov_end+3]
-        term_month = cov_start.plus(3 + int(rng.integers(0, n_term)))
+        # termination months span [cov_start+3, cov_end+3]
+        term_month = cov_start.plus(3 + int(rng.integers(0, n_cov)))
         termination = term_month.day(int(rng.integers(1, 29)))
         if idx in back_set:
             comeback = term_month.plus(int(rng.integers(2, 7))).day(int(rng.integers(1, 29)))
@@ -140,54 +139,46 @@ def _build_service(cfg: GeneratorConfig, segment: str, idx: int,
         location, hsbb, termination, comeback)  # ids filled in by caller
 
     # --- monthly usage ----------------------------------------------------
+    # at least one month: activation precedes cov_end, termination follows cov_start
     first = max(cov_start, act_month)
     last = min(cov_end, term_month) if term_month is not None else cov_end
-    months = month_range(first, last) if not last < first else []
+    n_m = last.diff(first) + 1
 
     dl_base = float(np.exp(rng.normal(7.2, 0.55))) if has_data else 0.0
     ul_ratio = float(np.exp(rng.normal(np.log(0.15), 0.3)))
     vmin_base = float(np.exp(rng.normal(5.3, 0.6)))
-    call_min = float(np.clip(rng.normal(3.2, 0.7), 1.5, 6.0))  # minutes per call
+    call_min = min(max(rng.normal(3.2, 0.7), 1.5), 6.0)  # minutes per call
 
-    n_m = len(months)
-    noise = np.exp(rng.normal(0.0, 0.18, size=(3, n_m))) if n_m else np.empty((3, 0))
-    pay_noise = np.clip(rng.normal(1.0, 0.05, size=n_m), 0.7, 1.3) if n_m else np.empty(0)
-    reversal_draw = rng.random(n_m) if n_m else np.empty(0)
-    credit_draw = rng.random(n_m) if n_m else np.empty(0)
-    credit_amt = rng.integers(100, 3000, size=n_m) if n_m else np.empty(0, dtype=int)
-    req_extra = rng.random(n_m) if n_m else np.empty(0)
-    req_days = rng.integers(1, 29, size=n_m) if n_m else np.empty(0, dtype=int)
-    req_codes = rng.integers(0, len(_REQUEST_CODES), size=n_m) if n_m else np.empty(0, dtype=int)
+    noise = np.exp(rng.normal(0.0, 0.18, size=(3, n_m)))
+    pay_noise = np.clip(rng.normal(1.0, 0.05, size=n_m), 0.7, 1.3)
+    reversal_draw = rng.random(n_m)
+    credit_draw = rng.random(n_m)
+    credit_amt = rng.integers(100, 3000, size=n_m)
+    req_extra = rng.random(n_m)
+    req_days = rng.integers(1, 29, size=n_m)
+    req_codes = rng.integers(0, len(_REQUEST_CODES), size=n_m)
     first_last_bill = price + int(rng.integers(0, 2000))
 
-    dl, ul, vmin, vcalls, charge = {}, {}, {}, {}, {}
-    pay_ratio, pay_reversal, credit = {}, {}, {}
-    requests: list[ServiceRequestRecord] = []
-    for j, m in enumerate(months):
-        k = term_month.diff(m) if term_month is not None else 99
-        mult = _decline(k, cfg.signal_strength)
-        voice_mult = _decline(k, 0.5 * cfg.signal_strength)
-        dl_m = round(dl_base * mult * noise[0, j], 3)
-        ul_m = round(dl_base * ul_ratio * mult * noise[1, j], 3)
-        vm = round(vmin_base * voice_mult * noise[2, j], 1)
-        dl[m], ul[m], vmin[m] = dl_m, ul_m, vm
-        vcalls[m] = int(round(vm / call_min))
-        charge[m] = price + int(dl_m * 1.2) + int(vm * 3)
+    ramp = (_RAMP[np.minimum(term_month.diff(first) - np.arange(n_m), 4)]
+            if term_month is not None else np.zeros(n_m))
+    s = cfg.signal_strength
+    dl = np.round(dl_base * (1.0 - s * ramp) * noise[0], 3)
+    ul = np.round(dl_base * ul_ratio * (1.0 - s * ramp) * noise[1], 3)
+    vmin = np.round(vmin_base * (1.0 - 0.5 * s * ramp) * noise[2], 1)
+    charge = price + (dl * 1.2).astype(np.int64) + (vmin * 3).astype(np.int64)
+    pay_ratio = pay_noise * (1.0 - 0.35 * s * ramp)
+    credit = np.where(credit_draw < 0.07 + 0.10 * s * ramp, -credit_amt, 0)
+    # service requests: sparse, slightly elevated before termination
+    requests = [
+        ServiceRequestRecord("", first.plus(j).day(int(req_days[j])),
+                             _REQUEST_CODES[int(req_codes[j])])
+        for j in np.flatnonzero(req_extra < 0.06 * (1.0 + 2.5 * s * ramp)).tolist()]
 
-        ratio = pay_noise[j] * (1.0 - 0.35 * cfg.signal_strength * _RAMP.get(k, 0.0))
-        pay_ratio[m] = float(ratio)
-        pay_reversal[m] = bool(reversal_draw[j] < 0.01)
-        credit_p = 0.07 + 0.10 * cfg.signal_strength * _RAMP.get(k, 0.0)
-        credit[m] = -int(credit_amt[j]) if credit_draw[j] < credit_p else 0
-
-        # service requests: sparse, slightly elevated before termination
-        req_p = 0.06 * (1.0 + 2.5 * cfg.signal_strength * _RAMP.get(k, 0.0))
-        if req_extra[j] < req_p:
-            requests.append(ServiceRequestRecord(
-                "", m.day(int(req_days[j])), _REQUEST_CODES[int(req_codes[j])]))
-
-    return _ServiceBlock(record, first, last, dl, ul, vmin, vcalls, charge,
-                         requests, pay_ratio, pay_reversal, credit, first_last_bill)
+    return _ServiceBlock(
+        record, first.diff(cov_start), dl.tolist(), ul.tolist(), vmin.tolist(),
+        np.rint(vmin / call_min).astype(np.int64).tolist(), charge.tolist(), requests,
+        pay_ratio.tolist(), (reversal_draw < 0.01).tolist(), credit.tolist(),
+        first_last_bill)
 
 
 def _choose(rng: np.random.Generator, n: int, k: int) -> frozenset[int]:
@@ -212,61 +203,76 @@ def generate(config: GeneratorConfig) -> TelcoDataset:
         back_ids = frozenset(churners_sorted[i] for i in back_set)
 
         blocks = [_build_service(config, segment, i, term_set, back_ids) for i in range(n)]
-        _assemble(ds, segment, blocks)
+        _assemble(ds, segment, blocks, month_range(config.months_start, config.months_end))
     return ds
 
 
-def _assemble(ds: TelcoDataset, segment: str, blocks: list[_ServiceBlock]) -> None:
-    """Stitch per-service blocks into tables. Pure; draws no randomness."""
-    n = len(blocks)
-    members: dict[int, list[int]] = {}
-    for i in range(n):
+def _assemble(ds: TelcoDataset, segment: str, blocks: list[_ServiceBlock],
+              months: list[Month]) -> None:
+    """Stitch per-service blocks into tables. Pure; draws no randomness.
+
+    Billing accounts are rows of (account, coverage month) grids, so the
+    month-to-month balance carry-over runs once per month for all accounts.
+    """
+    leaders: list[int] = []  # record index of each billing account, ascending
+    account: list[int] = []  # grid row of each record's billing account
+    for i, blk in enumerate(blocks):
         cust, bill = _owners(i)
-        blk = blocks[i]
         cust_id, bill_id, svc_id = _ids(segment, cust, bill, i)
         blk.record.customer_id = cust_id
         blk.record.billing_id = bill_id
         blk.record.service_id = svc_id
         ds.subscribers.append(blk.record)
         for req in blk.requests:
-            ds.service_requests.append(dataclasses.replace(req, customer_id=cust_id))
-        members.setdefault(bill, []).append(i)
+            req.customer_id = cust_id
+        ds.service_requests += blk.requests
+        if bill == i:
+            leaders.append(i)
+        account.append(len(leaders) - 1)  # a member directly follows its leader
 
-    for bill, idxs in members.items():
-        leader = blocks[idxs[0]]
-        bill_id = blocks[idxs[0]].record.billing_id
-        first = min(blocks[i].first_month for i in idxs)
-        last = max(blocks[i].last_month for i in idxs)
-        if last < first:
-            continue
-        prev_current = None
-        prev_unpaid = 0
-        for m in month_range(first, last):
-            active = [blocks[i] for i in idxs if m in blocks[i].charge]
-            if not active:
-                continue
-            current = sum(b.charge[m] for b in active)
-            last_bill = prev_current if prev_current is not None else leader.first_last_bill
-            outstanding = prev_unpaid
-            amt_2pay = current + outstanding
-            if leader.pay_reversal.get(m, False):
-                payment = -int(amt_2pay * 0.1)
-            else:
-                payment = int(amt_2pay * leader.pay_ratio.get(m, 1.0))
-            credit = sum(b.credit.get(m, 0) for b in active)
-            ds.billing.append(BillingMonthRecord(
-                bill_id, m, current, last_bill, amt_2pay, outstanding, payment, credit))
-            ds.usage.append(UsageMonthRecord(
-                bill_id, m,
-                float(round(sum(b.dl[m] for b in active), 3)),
-                float(round(sum(b.ul[m] for b in active), 3)),
-                float(round(sum(b.vmin[m] for b in active), 1)),
-                int(sum(b.vcalls[m] for b in active))))
-            prev_current = current
-            # credits reduce what carries over; never carry negative balances
-            prev_unpaid = max(0, amt_2pay - payment + credit)
+    shape = (len(leaders), len(months))
+    active = np.zeros(shape, dtype=bool)
+    current, credit, vcalls = (np.zeros(shape, dtype=np.int64) for _ in range(3))
+    dl, ul, vmin = (np.zeros(shape) for _ in range(3))
+    pay_ratio, reversal = np.ones(shape), np.zeros(shape, dtype=bool)
+    for i, blk in enumerate(blocks):
+        cells = account[i], slice(blk.first, blk.first + len(blk.dl))
+        active[cells] = True
+        # a member adds onto its leader's cells, in record order
+        current[cells] += blk.charge
+        credit[cells] += blk.credit
+        vcalls[cells] += blk.vcalls
+        dl[cells] += blk.dl
+        ul[cells] += blk.ul
+        vmin[cells] += blk.vmin
+        if leaders[account[i]] == i:
+            pay_ratio[cells] = blk.pay_ratio
+            reversal[cells] = blk.pay_reversal
 
+    last_bill, amt_2pay, outstanding, payment = (np.zeros(shape, dtype=np.int64)
+                                                 for _ in range(4))
+    prev_current = np.array([blocks[i].first_last_bill for i in leaders], dtype=np.int64)
+    prev_unpaid = np.zeros(len(leaders), dtype=np.int64)
+    for t in range(len(months)):
+        on = active[:, t]
+        amt = current[:, t] + prev_unpaid
+        paid = np.where(reversal[:, t], -(amt * 0.1).astype(np.int64),
+                        (amt * pay_ratio[:, t]).astype(np.int64))
+        last_bill[:, t], amt_2pay[:, t] = prev_current, amt
+        outstanding[:, t], payment[:, t] = prev_unpaid, paid
+        prev_current = np.where(on, current[:, t], prev_current)
+        # credits reduce what carries over; never carry negative balances
+        prev_unpaid = np.where(on, np.maximum(0, amt - paid + credit[:, t]), prev_unpaid)
+
+    # cells in row-major order are sorted by (billing_id, month)
+    rows, cols = np.nonzero(active)
+    bill_ids = [blocks[leaders[r]].record.billing_id for r in rows.tolist()]
+    cell_months = [months[c] for c in cols.tolist()]
+    ds.billing.extend(map(BillingMonthRecord, bill_ids, cell_months, *(
+        a[active].tolist() for a in (current, last_bill, amt_2pay, outstanding, payment,
+                                     credit))))
+    ds.usage.extend(map(UsageMonthRecord, bill_ids, cell_months,
+                        np.round(dl[active], 3).tolist(), np.round(ul[active], 3).tolist(),
+                        np.round(vmin[active], 1).tolist(), vcalls[active].tolist()))
     ds.subscribers.sort(key=lambda s: (s.customer_id, s.billing_id, s.service_id))
-    ds.billing.sort(key=lambda r: (r.billing_id, r.month))
-    ds.usage.sort(key=lambda r: (r.billing_id, r.month))
     ds.service_requests.sort(key=lambda r: (r.customer_id, r.request_date, r.request_code))

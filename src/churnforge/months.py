@@ -34,14 +34,22 @@ class Month:
     def of(cls, d: dt.date) -> "Month":
         return cls(d.year, d.month)
 
+    @classmethod
+    def from_index(cls, i: int) -> "Month":
+        return cls(i // 12, i % 12 + 1)
+
+    @staticmethod
+    def index_of(d: dt.date) -> int:
+        """``Month.of(d).index`` without building the Month."""
+        return d.year * 12 + (d.month - 1)
+
     @property
     def index(self) -> int:
         # months since year 0, used for arithmetic
         return self.year * 12 + (self.month - 1)
 
     def plus(self, n: int) -> "Month":
-        i = self.index + n
-        return Month(i // 12, i % 12 + 1)
+        return Month.from_index(self.index + n)
 
     def diff(self, other: "Month") -> int:
         """Whole months from `other` to `self` (positive when self is later)."""

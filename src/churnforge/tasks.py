@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .data import TelcoDataset, check_integrity, read_tables, write_tables
 from .evaluation import compare_learners, confusion, rank_features, select_best
-from .features import (FeatureMatrix, extract_churn, extract_winback,
+from .features import (FeatureMatrix, TableIndex, extract_churn, extract_winback,
                        read_matrix, standard_windows, write_matrix)
 from .generator import GeneratorConfig, generate
 from .learners import ALGORITHMS, LearnerSpec, predict_matrix, train
@@ -199,7 +199,7 @@ def cmd_generate(cfg: PipelineConfig) -> str:
             f"({churners} churners) to {cfg.data_dir}")
 
 
-def _extract(dataset: TelcoDataset, task: TaskSpec, role: str) -> FeatureMatrix:
+def _extract(dataset: TelcoDataset | TableIndex, task: TaskSpec, role: str) -> FeatureMatrix:
     window = standard_windows(task.task, role)
     if task.task == "churn":
         # test matrices reuse the training window's column names so the
@@ -212,11 +212,11 @@ def _extract(dataset: TelcoDataset, task: TaskSpec, role: str) -> FeatureMatrix:
 def cmd_extract(cfg: PipelineConfig) -> str:
     dataset = read_tables(cfg.data_dir)
     check_integrity(dataset)
-    dataset = filter_dataset(dataset, cfg.task)
+    tables = TableIndex(filter_dataset(dataset, cfg.task))  # joins built once for both roles
     os.makedirs(cfg.out_dir, exist_ok=True)
     shapes = []
     for role in ("train", "test"):
-        matrix = _extract(dataset, cfg.task, role)
+        matrix = _extract(tables, cfg.task, role)
         write_matrix(matrix, cfg.path(f"{role}.csv"))
         shapes.append(f"{role}: {matrix.n_rows} rows")
     return f"task {cfg.task_id} extracted ({'; '.join(shapes)})"

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,23 +217,86 @@ def derive(aggregates: dict) -> dict:
 # extraction
 # ---------------------------------------------------------------------------
 
-class TableIndex:
-    """Join indexes over one dataset, keyed by (id, month index).
+_NO_MONTH = np.iinfo(np.int64).max  # month index of an absent date: later than any month
 
-    Pass one TableIndex in place of the dataset to several ``extract_*``
-    calls to build the indexes once.
+
+def _month_indexes(dates) -> np.ndarray:
+    return np.array([_NO_MONTH if d is None else Month.index_of(d) for d in dates],
+                    dtype=np.int64)
+
+
+class _Join:
+    """Values of one table's rows found by an int key; of rows with the same
+    key the last wins, as in a dict built in table order."""
+
+    def __init__(self, keys: np.ndarray, rows: np.ndarray):
+        order = np.argsort(keys, kind="stable")
+        self.keys, self.rows = keys[order], rows[order]
+
+    def gather(self, keys: np.ndarray, values: np.ndarray, fill) -> tuple[np.ndarray, np.ndarray]:
+        """(found, ``values`` at each key's row, ``fill`` where none has it)."""
+        at = np.searchsorted(self.keys, keys, side="right") - 1
+        found = at >= 0
+        found[found] = self.keys[at[found]] == keys[found]
+        out = np.full(keys.shape, fill, dtype=values.dtype)
+        out[found] = values[self.rows[at[found]]]
+        return found, out
+
+
+class TableIndex:
+    """Array joins over one dataset, built once from its columns.
+
+    Services (subscriber rows) keep table order; accounts are numbered by
+    sorted billing ID. Billing and usage rows are found by (account, month)
+    and service requests counted by (customer, month), over the months the
+    billing and usage rows cover. Pass one TableIndex in place of the
+    dataset to several ``extract_*`` calls to build the joins once.
     """
 
     def __init__(self, dataset: TelcoDataset):
-        self.by_billing: dict[str, list] = {}
-        for s in dataset.subscribers:
-            self.by_billing.setdefault(s.billing_id, []).append(s)
-        self.billing = {(r.billing_id, r.month.index): r for r in dataset.billing}
-        self.usage = {(r.billing_id, r.month.index): r for r in dataset.usage}
-        self.requests = Counter((r.customer_id, Month.index_of(r.request_date))
-                                for r in dataset.service_requests)
-        observed = {m for _, m in self.billing} | {m for _, m in self.usage}
-        self.coverage = (min(observed), max(observed)) if observed else None
+        subs = dataset.subscribers
+        self.accounts = sorted(set(subs.column("billing_id")))
+        account_of = {b: i for i, b in enumerate(self.accounts)}
+        customer_of: dict[str, int] = {}
+        # per service (subscriber row), in table order
+        self.account = np.array([account_of[b] for b in subs.column("billing_id")],
+                                dtype=np.int64)
+        self.customer = np.array([customer_of.setdefault(c, len(customer_of))
+                                  for c in subs.column("customer_id")], dtype=np.int64)
+        self.activation_day = np.array([d.toordinal() for d in subs.column("activation_date")],
+                                       dtype=np.int64)
+        self.activation, self.since, self.termination, self.comeback = (
+            _month_indexes(subs.column(c)) for c in (
+                "activation_date", "customer_since", "termination_date", "comeback_date"))
+        self.n_customers = len(customer_of)
+        services = subs.column("service_id")
+        by_service_id = sorted(range(len(services)), key=services.__getitem__)
+        self.service_rank = np.empty(len(services), dtype=np.int64)
+        self.service_rank[by_service_id] = np.arange(len(services))  # ties keep table order
+        self.contract = subs.column("contract_period").astype(np.float64)
+        self.hsbb = subs.column("hsbb_area").astype(np.float64)
+        self.price = subs.column("price_start") / 100.0
+        self.location = subs.column("t_location")
+
+        months = np.concatenate([dataset.billing.column("month"), dataset.usage.column("month")])
+        self.coverage = (int(months.min()), int(months.max())) if len(months) else None
+        lo, hi = self.coverage or (0, -1)
+        self.stride = hi - lo + 1
+
+        def join(owners, owner_of: dict, month: np.ndarray) -> _Join:
+            """The rows with a known owner and a covered month, by (owner, month)."""
+            owner = np.array([owner_of.get(v, -1) for v in owners], dtype=np.int64)
+            rows = np.flatnonzero((owner >= 0) & (lo <= month) & (month <= hi))
+            return _Join(owner[rows] * self.stride + (month[rows] - lo), rows)
+
+        self.billing, self.usage = dataset.billing, dataset.usage
+        self._billing, self._usage = (join(t.column("billing_id"), account_of, t.column("month"))
+                                      for t in (self.billing, self.usage))
+        requests = dataset.service_requests
+        keys, self._request_counts = np.unique(join(
+            requests.column("customer_id"), customer_of,
+            _month_indexes(requests.column("request_date"))).keys, return_counts=True)
+        self._requests = _Join(keys, np.arange(len(keys)))
 
     def check_covered(self, months, what: str):
         if self.coverage is None:
@@ -245,54 +307,88 @@ class TableIndex:
                 f"{what}: months {months[0]}..{months[-1]} outside dataset coverage "
                 f"{Month.from_index(lo)}..{Month.from_index(hi)}")
 
+    def representatives(self, chosen: np.ndarray, key: np.ndarray) -> np.ndarray:
+        """For each account with a chosen service, ascending: the chosen
+        service with the least (key, service_id), the first in table order
+        on a tie."""
+        order = np.lexsort((self.service_rank, key, self.account))
+        order = order[chosen[order]]
+        account = self.account[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = account[1:] != account[:-1]
+        return order[first]
 
-def _row_values(tables: TableIndex, billing_id: str, services, rep, months: list[int],
-                names: list[str]) -> dict:
-    """All feature values for one billing account over its window months
-    (month indexes), the monthly ones under ``names``, four per month.
+    def any_by_account(self, flags: np.ndarray) -> np.ndarray:
+        """Per account: does any of its services have its flag set?"""
+        return np.bincount(self.account[flags], minlength=len(self.accounts)) > 0
 
-    `rep` is the service whose subscriber-level fields (price, contract,
-    location, dates) represent the account.
-    """
-    customers = {s.customer_id for s in services}
-    values: dict[str, object] = {}
+    def features(self, chosen: np.ndarray, reps: np.ndarray, months: np.ndarray,
+                 names: list[str]) -> dict[str, np.ndarray]:
+        """Feature columns for the accounts of ``reps`` (their representative
+        services) over window ``months`` (a row of 3 month indexes each),
+        the monthly ones under ``names``; request counts cover the
+        customers of the account's ``chosen`` services."""
+        account = self.account[reps]
+        keys = account[:, None] * self.stride + (months - self.coverage[0])
+        values: dict[str, np.ndarray] = {}
 
-    dl, ul = [], []
-    for j, m in enumerate(months):
-        u = tables.usage.get((billing_id, m))
-        d, up, v = (u.download_mb, u.upload_mb, u.voice_minutes) if u else (0.0, 0.0, 0.0)
-        dl.append(d), ul.append(up)
-        sr = float(sum(tables.requests.get((c, m), 0) for c in customers))
-        values.update(zip(names[4 * j:4 * j + 4], (d, up, v, sr)))
+        usage = {c: self._usage.gather(keys, self.usage.column(c), 0.0)[1]
+                 for c in ("download_mb", "upload_mb", "voice_minutes")}
+        # each (account, customer) pair of the chosen services counts once
+        pairs = np.unique(self.account[chosen] * self.n_customers + self.customer[chosen])
+        row_of = np.full(len(self.accounts), -1)
+        row_of[account] = np.arange(len(account))
+        pair_row = row_of[pairs // self.n_customers]
+        _, counts = self._requests.gather(
+            (pairs % self.n_customers)[:, None] * self.stride
+            + (months[pair_row] - self.coverage[0]), self._request_counts, 0)
+        requests = np.zeros(months.shape, dtype=np.int64)
+        np.add.at(requests, pair_row, counts)
+        for j in range(3):
+            values.update(zip(names[4 * j:4 * j + 4], (
+                usage["download_mb"][:, j], usage["upload_mb"][:, j],
+                usage["voice_minutes"][:, j], requests[:, j].astype(np.float64))))
+        for name, column in (("3M_DL_avg", "download_mb"), ("3M_UL_avg", "upload_mb")):
+            # the built-in sum, as monthly_average: from Python 3.12 it compensates
+            values[name] = np.array([sum(r) for r in usage[column].tolist()]) / 3
 
-    values["3M_DL_avg"] = monthly_average(dl)
-    values["3M_UL_avg"] = monthly_average(ul)
+        for name, field in zip(MONETARY_AVG_NAMES, _MONETARY_FIELDS):
+            found, cents = self._billing.gather(keys, self.billing.column(field), 0)
+            values[name] = np.where(found.all(axis=1), _mean_cents(cents), np.nan) / 100.0
 
-    bills = [tables.billing.get((billing_id, m)) for m in months]
-    complete = all(b is not None for b in bills)
-    for name, field in zip(MONETARY_AVG_NAMES, _MONETARY_FIELDS):
-        values[name] = (monthly_average([getattr(b, field) for b in bills]) / 100.0
-                        if complete else float("nan"))
-
-    values["Contract_Period"] = float(rep.contract_period)
-    values["HSBB_Area"] = float(rep.hsbb_area)
-    values["T_Location"] = rep.t_location
-    values["Price_Start"] = rep.price_start / 100.0
-    values.update(derive(values))
-
-    activation = Month.index_of(rep.activation_date)
-    values["ACTIVATION_DATE_TENURE"] = float(months[-1] - activation)
-    values["CUSTOMER_TENURE_DIFF"] = float(activation - Month.index_of(rep.customer_since))
-    return values
+        values["Contract_Period"] = self.contract[reps]
+        values["HSBB_Area"] = self.hsbb[reps]
+        values["T_Location"] = np.array([self.location[i] for i in reps.tolist()], dtype=object)
+        values["Price_Start"] = self.price[reps]
+        values.update(derive(values))
+        values["ACTIVATION_DATE_TENURE"] = (months[:, -1] - self.activation[reps]).astype(float)
+        values["CUSTOMER_TENURE_DIFF"] = (self.activation[reps] - self.since[reps]).astype(float)
+        return values
 
 
-def _build_matrix(rows: list[tuple[str, dict, int]], months_key) -> FeatureMatrix:
+def _mean_cents(cents: np.ndarray) -> np.ndarray:
+    """Row means of int cents, each the correctly rounded quotient of the
+    exact sum, as Python's int division gives."""
+    exact = ((-2 ** 50 < cents) & (cents < 2 ** 50)).all(axis=1)  # the sum is exact in float64
+    mean = cents.sum(axis=1, where=exact[:, None]) / cents.shape[1]
+    for i in np.flatnonzero(~exact).tolist():
+        mean[i] = sum(cents[i].tolist()) / cents.shape[1]
+    return mean
+
+
+def _build_matrix(tables: TableIndex, chosen, reps, months, labels, months_key) -> FeatureMatrix:
     names, kinds = feature_schema(months_key)
-    columns = {name: np.array([r[1][name] for r in rows],
-                              dtype=np.float64 if kinds[name] == NUMERIC else object)
-               for name in names}
-    return FeatureMatrix([r[0] for r in rows], names, kinds, columns,
-                         np.array([r[2] for r in rows], dtype=np.int8))
+    values = tables.features(chosen, reps, months, monthly_feature_names(months_key))
+    return FeatureMatrix([tables.accounts[i] for i in tables.account[reps].tolist()], names,
+                         kinds, {name: values[name] for name in names},
+                         labels.astype(np.int8))
+
+
+def _empty_matrix(months_key) -> FeatureMatrix:
+    names, kinds = feature_schema(months_key)
+    return FeatureMatrix([], names, kinds, {
+        name: np.array([], dtype=np.float64 if kinds[name] == NUMERIC else object)
+        for name in names}, np.array([], dtype=np.int8))
 
 
 def extract_churn(dataset: TelcoDataset | TableIndex, window: WindowSpec,
@@ -314,32 +410,18 @@ def extract_churn(dataset: TelcoDataset | TableIndex, window: WindowSpec,
         raise ValueError("naming_months must list exactly 3 months")
     tables = dataset if isinstance(dataset, TableIndex) else TableIndex(dataset)
     naming_months = naming_months or window.feature_months
-    if not tables.by_billing:
-        return _build_matrix([], naming_months)
+    if not tables.accounts:
+        return _empty_matrix(naming_months)
     tables.check_covered(window.feature_months, "feature window")
 
-    months = [m.index for m in window.feature_months]
-    names = monthly_feature_names(naming_months)
+    months = np.array([m.index for m in window.feature_months])
     window_end = months[-1]
-    label_set = {m.index for m in window.label_months}
-
-    rows = []
-    for billing_id in sorted(tables.by_billing):
-        services = tables.by_billing[billing_id]
-        active = [
-            s for s in services
-            if Month.index_of(s.activation_date) <= window_end
-            and (s.termination_date is None or window_end < Month.index_of(s.termination_date))
-        ]
-        if not active:
-            continue
-        label = int(any(
-            s.termination_date is not None and Month.index_of(s.termination_date) in label_set
-            for s in services))
-        rep = min(active, key=lambda s: (s.activation_date, s.service_id))
-        rows.append((billing_id, _row_values(tables, billing_id, active, rep, months, names),
-                     label))
-    return _build_matrix(rows, naming_months)
+    active = (tables.activation <= window_end) & (window_end < tables.termination)
+    reps = tables.representatives(active, tables.activation_day)
+    labeled = tables.any_by_account(
+        np.isin(tables.termination, [m.index for m in window.label_months]))
+    return _build_matrix(tables, active, reps, np.tile(months, (len(reps), 1)),
+                         labeled[tables.account[reps]], naming_months)
 
 
 def extract_winback(dataset: TelcoDataset | TableIndex, termination_range: tuple[Month, Month],
@@ -354,34 +436,22 @@ def extract_winback(dataset: TelcoDataset | TableIndex, termination_range: tuple
     label_months = tuple(label_months)
     _require_consecutive(label_months, "label_months")
     tables = dataset if isinstance(dataset, TableIndex) else TableIndex(dataset)
-    if not tables.by_billing:
-        return _build_matrix([], None)
+    if not tables.accounts:
+        return _empty_matrix(None)
     tables.check_covered([lo.plus(-3), hi.plus(-1)], "win-back feature window")
 
-    names = monthly_feature_names(None)
-    label_set = {m.index for m in label_months}
-    rows = []
-    for billing_id in sorted(tables.by_billing):
-        services = tables.by_billing[billing_id]
-        churned = [
-            s for s in services
-            if s.termination_date is not None
-            and lo.index <= Month.index_of(s.termination_date) <= hi.index
-        ]
-        if not churned:
-            continue
-        rep = min(churned, key=lambda s: (Month.index_of(s.termination_date), s.service_id))
-        term = Month.index_of(rep.termination_date)
-        months = [term - 3, term - 2, term - 1]
-        if set(months) & label_set:
-            raise ValueError(f"{billing_id}: feature months {Month.from_index(months[0])}.."
-                             f"{Month.from_index(months[-1])} overlap label months")
-        label = int(any(
-            s.comeback_date is not None and Month.index_of(s.comeback_date) in label_set
-            for s in churned))
-        rows.append((billing_id, _row_values(tables, billing_id, churned, rep, months, names),
-                     label))
-    return _build_matrix(rows, None)
+    label_set = [m.index for m in label_months]
+    churned = (lo.index <= tables.termination) & (tables.termination <= hi.index)
+    reps = tables.representatives(churned, tables.termination)
+    months = tables.termination[reps][:, None] + np.arange(-3, 0)
+    overlap = np.isin(months, label_set).any(axis=1)
+    if overlap.any():
+        i = int(overlap.argmax())
+        raise ValueError(f"{tables.accounts[tables.account[reps[i]]]}: feature months "
+                         f"{Month.from_index(int(months[i, 0]))}.."
+                         f"{Month.from_index(int(months[i, -1]))} overlap label months")
+    labeled = tables.any_by_account(churned & np.isin(tables.comeback, label_set))
+    return _build_matrix(tables, churned, reps, months, labeled[tables.account[reps]], None)
 
 
 # ---------------------------------------------------------------------------

@@ -11,17 +11,20 @@ months, but deliberately less sharply than usage.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (BillingMonthRecord, ServiceRequestRecord, SubscriberRecord,
+from .data import (SORT_KEYS, BillingMonthRecord, ServiceRequestRecord, SubscriberRecord, Table,
                    TelcoDataset, UsageMonthRecord)
 from .months import Month, month_range
 
 # decline ramp, indexed by whole months until the termination month; 0 from 4 on
 _RAMP = np.array([0.95, 0.9, 0.6, 0.3, 0.0])
 
+_CONTRACTS = [0, 12, 24, 36]
+_CONTRACT_W = [0.25, 0.35, 0.30, 0.10]
 _LOCATIONS = ["AJP", "TLS", "KLC", "PNG", "JBU", "MLK", "KTN", "SRW"]
 _LOCATION_W = [0.22, 0.18, 0.15, 0.12, 0.10, 0.09, 0.08, 0.06]
 _REQUEST_CODES = ["CMPLNT", "TECH", "BILLQ", "INFO", "RELOC"]
@@ -58,28 +61,54 @@ class GeneratorConfig:
             raise ValueError("months range must cover at least 6 months")
 
 
-@dataclass
+def _cdf(p) -> np.ndarray:
+    """The cumulative weights that ``Generator.choice(..., p=p)`` searches."""
+    cdf = np.cumsum(p)
+    return cdf / cdf[-1]
+
+
+_CONTRACT_CDF = _cdf(_CONTRACT_W)
+_LOCATION_CDF = _cdf(_LOCATION_W)
+
+
+def _pick(rng: np.random.Generator, cdf: np.ndarray) -> int:
+    """The index ``rng.choice(len(cdf), p=...)`` draws, with the same draw."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+@dataclass(slots=True)
 class _ServiceBlock:
     """Everything one subscriber record contributes, drawn from its own stream.
 
-    Monthly sequences hold one entry per month with table rows, starting
-    ``first`` months after the coverage start (through the termination
-    month for churners).
+    ``profile`` holds the subscriber's row by field name; ``_assemble``
+    fills in its three ids. Monthly sequences hold one entry per month with
+    table rows, starting ``first`` months after the coverage start (through
+    the termination month for churners).
     """
 
-    record: SubscriberRecord
+    profile: dict
     first: int
     dl: list[float]
     ul: list[float]
     vmin: list[float]
     vcalls: list[int]
     charge: list[int]  # cents billed for this service per month
-    requests: list[ServiceRequestRecord]
+    request_dates: list
+    request_codes: list[str]
     # account-level dynamics, used only when this record leads its billing account
     pay_ratio: list[float]
     pay_reversal: list[bool]
     credit: list[int]
     first_last_bill: int
+
+    @property
+    def record(self) -> SubscriberRecord:
+        return SubscriberRecord(**self.profile)
+
+    @property
+    def requests(self) -> list[ServiceRequestRecord]:
+        return list(map(ServiceRequestRecord, itertools.repeat(self.profile["customer_id"]),
+                        self.request_dates, self.request_codes))
 
 
 def _ids(segment: str, cust_idx: int, bill_idx: int, svc_idx: int) -> tuple[str, str, str]:
@@ -120,9 +149,11 @@ def _build_service(cfg: GeneratorConfig, segment: str, idx: int,
     activation = act_month.day(int(rng.integers(1, 29)))
     since = activation.replace(day=1)
     since = Month.of(since).plus(-int(rng.integers(0, 37))).day(min(activation.day, 28))
-    contract = int(rng.choice([0, 12, 24, 36], p=[0.25, 0.35, 0.30, 0.10]))
-    price = int(rng.choice(_PRICES[(segment, service_type)]))
-    location = str(rng.choice(_LOCATIONS, p=_LOCATION_W))
+    # the draws rng.choice makes for these three picks, without its overhead
+    contract = _CONTRACTS[_pick(rng, _CONTRACT_CDF)]
+    prices = _PRICES[(segment, service_type)]
+    price = prices[int(rng.integers(0, len(prices)))]
+    location = _LOCATIONS[_pick(rng, _LOCATION_CDF)]
     hsbb = int(rng.random() < 0.45)
 
     term_month = None
@@ -134,9 +165,11 @@ def _build_service(cfg: GeneratorConfig, segment: str, idx: int,
         if idx in back_set:
             comeback = term_month.plus(int(rng.integers(2, 7))).day(int(rng.integers(1, 29)))
 
-    record = SubscriberRecord(
-        "", "", "", segment, service_type, activation, since, contract, price,
-        location, hsbb, termination, comeback)  # ids filled in by caller
+    profile = dict(customer_id="", billing_id="", service_id="", segment=segment,
+                   service_type=service_type, activation_date=activation,
+                   customer_since=since, contract_period=contract, price_start=price,
+                   t_location=location, hsbb_area=hsbb, termination_date=termination,
+                   comeback_date=comeback)
 
     # --- monthly usage ----------------------------------------------------
     # at least one month: activation precedes cov_end, termination follows cov_start
@@ -169,14 +202,13 @@ def _build_service(cfg: GeneratorConfig, segment: str, idx: int,
     pay_ratio = pay_noise * (1.0 - 0.35 * s * ramp)
     credit = np.where(credit_draw < 0.07 + 0.10 * s * ramp, -credit_amt, 0)
     # service requests: sparse, slightly elevated before termination
-    requests = [
-        ServiceRequestRecord("", first.plus(j).day(int(req_days[j])),
-                             _REQUEST_CODES[int(req_codes[j])])
-        for j in np.flatnonzero(req_extra < 0.06 * (1.0 + 2.5 * s * ramp)).tolist()]
+    requested = np.flatnonzero(req_extra < 0.06 * (1.0 + 2.5 * s * ramp)).tolist()
 
     return _ServiceBlock(
-        record, first.diff(cov_start), dl.tolist(), ul.tolist(), vmin.tolist(),
-        np.rint(vmin / call_min).astype(np.int64).tolist(), charge.tolist(), requests,
+        profile, first.diff(cov_start), dl.tolist(), ul.tolist(), vmin.tolist(),
+        np.rint(vmin / call_min).astype(np.int64).tolist(), charge.tolist(),
+        [first.plus(j).day(int(req_days[j])) for j in requested],
+        [_REQUEST_CODES[int(req_codes[j])] for j in requested],
         pay_ratio.tolist(), (reversal_draw < 0.01).tolist(), credit.tolist(),
         first_last_bill)
 
@@ -209,7 +241,8 @@ def generate(config: GeneratorConfig) -> TelcoDataset:
 
 def _assemble(ds: TelcoDataset, segment: str, blocks: list[_ServiceBlock],
               months: list[Month]) -> None:
-    """Stitch per-service blocks into tables. Pure; draws no randomness.
+    """Stitch per-service blocks into the tables' columns. Pure; draws no
+    randomness.
 
     Billing accounts are rows of (account, coverage month) grids, so the
     month-to-month balance carry-over runs once per month for all accounts.
@@ -218,36 +251,48 @@ def _assemble(ds: TelcoDataset, segment: str, blocks: list[_ServiceBlock],
     account: list[int] = []  # grid row of each record's billing account
     for i, blk in enumerate(blocks):
         cust, bill = _owners(i)
-        cust_id, bill_id, svc_id = _ids(segment, cust, bill, i)
-        blk.record.customer_id = cust_id
-        blk.record.billing_id = bill_id
-        blk.record.service_id = svc_id
-        ds.subscribers.append(blk.record)
-        for req in blk.requests:
-            req.customer_id = cust_id
-        ds.service_requests += blk.requests
+        blk.profile.update(zip(("customer_id", "billing_id", "service_id"),
+                               _ids(segment, cust, bill, i)))
         if bill == i:
             leaders.append(i)
         account.append(len(leaders) - 1)  # a member directly follows its leader
+    profiles = [blk.profile for blk in blocks]
+    ds.subscribers.extend(Table(SubscriberRecord, columns={
+        name: [p[name] for p in profiles] for name in profiles[0]}))
+    ds.service_requests.extend(Table(ServiceRequestRecord, columns={
+        "customer_id": [p["customer_id"] for blk, p in zip(blocks, profiles)
+                        for _ in blk.request_dates],
+        "request_date": list(itertools.chain.from_iterable(b.request_dates for b in blocks)),
+        "request_code": list(itertools.chain.from_iterable(b.request_codes for b in blocks)),
+    }))
 
+    # every record-month, in record order, as a flat index into the
+    # (account, coverage month) grids
     shape = (len(leaders), len(months))
-    active = np.zeros(shape, dtype=bool)
-    current, credit, vcalls = (np.zeros(shape, dtype=np.int64) for _ in range(3))
-    dl, ul, vmin = (np.zeros(shape) for _ in range(3))
-    pay_ratio, reversal = np.ones(shape), np.zeros(shape, dtype=bool)
-    for i, blk in enumerate(blocks):
-        cells = account[i], slice(blk.first, blk.first + len(blk.dl))
-        active[cells] = True
-        # a member adds onto its leader's cells, in record order
-        current[cells] += blk.charge
-        credit[cells] += blk.credit
-        vcalls[cells] += blk.vcalls
-        dl[cells] += blk.dl
-        ul[cells] += blk.ul
-        vmin[cells] += blk.vmin
-        if leaders[account[i]] == i:
-            pay_ratio[cells] = blk.pay_ratio
-            reversal[cells] = blk.pay_reversal
+    lengths = np.array([len(blk.dl) for blk in blocks])
+    starts = np.array(account) * shape[1] + [blk.first for blk in blocks]
+    cell = np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+    leads = np.repeat([leaders[a] == i for i, a in enumerate(account)], lengths)
+
+    def grid(field: str, dtype, fill=0, own=False):
+        """``field`` on the grid: members add onto their leader's cells in
+        record order, or with ``own`` the leader's values alone count."""
+        values = np.fromiter(itertools.chain.from_iterable(getattr(blk, field) for blk in blocks),
+                             dtype, len(cell))
+        out = np.full(shape[0] * shape[1], fill, dtype=dtype)
+        if own:
+            out[cell[leads]] = values[leads]
+        else:
+            np.add.at(out, cell, values)
+        return out.reshape(shape)
+
+    active = np.zeros(shape[0] * shape[1], dtype=bool)
+    active[cell] = True
+    active = active.reshape(shape)
+    current, credit, vcalls = (grid(f, np.int64) for f in ("charge", "credit", "vcalls"))
+    dl, ul, vmin = (grid(f, np.float64) for f in ("dl", "ul", "vmin"))
+    pay_ratio = grid("pay_ratio", np.float64, fill=1.0, own=True)
+    reversal = grid("pay_reversal", bool, own=True)
 
     last_bill, amt_2pay, outstanding, payment = (np.zeros(shape, dtype=np.int64)
                                                  for _ in range(4))
@@ -266,13 +311,19 @@ def _assemble(ds: TelcoDataset, segment: str, blocks: list[_ServiceBlock],
 
     # cells in row-major order are sorted by (billing_id, month)
     rows, cols = np.nonzero(active)
-    bill_ids = [blocks[leaders[r]].record.billing_id for r in rows.tolist()]
-    cell_months = [months[c] for c in cols.tolist()]
-    ds.billing.extend(map(BillingMonthRecord, bill_ids, cell_months, *(
-        a[active].tolist() for a in (current, last_bill, amt_2pay, outstanding, payment,
-                                     credit))))
-    ds.usage.extend(map(UsageMonthRecord, bill_ids, cell_months,
-                        np.round(dl[active], 3).tolist(), np.round(ul[active], 3).tolist(),
-                        np.round(vmin[active], 1).tolist(), vcalls[active].tolist()))
-    ds.subscribers.sort(key=lambda s: (s.customer_id, s.billing_id, s.service_id))
-    ds.service_requests.sort(key=lambda r: (r.customer_id, r.request_date, r.request_code))
+    leader_ids = [profiles[i]["billing_id"] for i in leaders]
+    cells = {"billing_id": [leader_ids[r] for r in rows.tolist()],
+             "month": np.array([m.index for m in months])[cols]}
+    ds.billing.extend(Table(BillingMonthRecord, columns=dict(cells, **{
+        name: a[active] for name, a in (
+            ("current_bill_amt", current), ("last_bill_amt", last_bill),
+            ("amt_2pay", amt_2pay), ("outstanding", outstanding), ("payment", payment),
+            ("credit_adj", credit))})))
+    ds.usage.extend(Table(UsageMonthRecord, columns=dict(
+        cells, download_mb=np.round(dl[active], 3), upload_mb=np.round(ul[active], 3),
+        voice_minutes=np.round(vmin[active], 1), voice_calls=vcalls[active])))
+    for name in ("subscribers", "service_requests"):
+        table = getattr(ds, name)
+        order = table.key_order(SORT_KEYS[name])
+        if order is not None:
+            setattr(ds, name, table.take(order))

@@ -92,6 +92,23 @@ def predict(model, row: dict) -> Prediction:
     return Prediction(float(model.score_row(row)), int(model.predict_row(row)))
 
 
+def model_features(model) -> set[str]:
+    """The feature names a model's conditions and tables read."""
+    if isinstance(model, EnsembleModel):
+        return set().union(*map(model_features, model.members))
+    if isinstance(model, ADTreeModel):
+        return {sp.condition.feature for sp in model.iter_splitters()}
+    if isinstance(model, BayesModel):
+        return set(model.numeric) | set(model.categorical)
+    features, stack = set(), [model.root]
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            features.add(node.condition.feature)
+            stack += [node.left, node.right]
+    return features
+
+
 def predict_matrix(model, matrix: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
     """(scores, labels) over all rows, using the model's batch path."""
     scores = model.score_matrix(matrix)
@@ -102,6 +119,7 @@ def predict_matrix(model, matrix: FeatureMatrix) -> tuple[np.ndarray, np.ndarray
 
 __all__ = [
     "ALGORITHMS", "LearnerSpec", "Prediction", "train", "predict", "predict_matrix",
+    "model_features",
     "SplitCondition", "TrainingData",
     "TreeModel", "train_cart", "train_stump",
     "ADTreeModel", "PredictionNode", "Splitter", "train_adtree",

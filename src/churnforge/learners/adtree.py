@@ -75,14 +75,23 @@ class ADTreeModel:
         return int(self.score_row(row) > 0)
 
     def score_matrix(self, matrix: FeatureMatrix) -> np.ndarray:
-        out = np.zeros(matrix.n_rows)
-        self._accumulate(self.root, np.arange(matrix.n_rows), matrix, out)
-        return out
+        """Each row's score is the fsum of the values it reaches, as in
+        ``score_row``, so both paths give the same bits."""
+        reached: list[tuple[float, np.ndarray]] = []
+        self._reach(self.root, np.arange(matrix.n_rows), matrix, reached)
+        if not reached:
+            return np.zeros(0)
+        rows = np.concatenate([idx for _, idx in reached])
+        values = np.repeat([v for v, _ in reached], [len(idx) for _, idx in reached])
+        values = values[np.argsort(rows, kind="stable")].tolist()
+        ends = np.cumsum(np.bincount(rows, minlength=matrix.n_rows)).tolist()
+        return np.array([math.fsum(values[a:b]) for a, b in zip([0] + ends, ends)])
 
-    def _accumulate(self, node: PredictionNode, idx, matrix, out):
+    def _reach(self, node: PredictionNode, idx, matrix, reached):
+        """Append (value, rows reaching it) for ``node`` and every node below."""
         if len(idx) == 0:
             return
-        out[idx] += node.value
+        reached.append((node.value, idx))
         for sp in node.splitters:
             column = matrix.columns.get(sp.condition.feature)
             if column is None:  # an absent feature is missing in every row
@@ -94,8 +103,8 @@ class ADTreeModel:
             else:
                 present = np.array([not is_missing(v) for v in values], dtype=bool)
                 yes = np.array([v == sp.condition.category for v in values], dtype=bool)
-            self._accumulate(sp.yes, idx[yes], matrix, out)
-            self._accumulate(sp.no, idx[present & ~yes], matrix, out)
+            self._reach(sp.yes, idx[yes], matrix, reached)
+            self._reach(sp.no, idx[present & ~yes], matrix, reached)
 
     def splitter_count(self) -> int:
         return len(list(self.iter_splitters()))

@@ -13,12 +13,14 @@ import csv
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .data import TelcoDataset, check_integrity, read_tables, write_tables
 from .evaluation import compare_learners, confusion, rank_features, select_best
 from .features import (FeatureMatrix, TableIndex, extract_churn, extract_winback,
                        read_matrix, standard_windows, write_matrix)
 from .generator import GeneratorConfig, generate
-from .learners import ALGORITHMS, LearnerSpec, predict_matrix, train
+from .learners import ALGORITHMS, LearnerSpec, model_features, predict_matrix, train
 from .model_io import load_model, save_model
 from .months import Month
 from .rebalance import oversample, undersample
@@ -52,18 +54,26 @@ def filter_dataset(dataset: TelcoDataset, task: TaskSpec) -> TelcoDataset:
     """Restrict to billing accounts in the task's segment that own at least
     one service of the required type; qualifying accounts keep all their
     services so labels still see every termination."""
+    subs = dataset.subscribers
     qualifying = {
-        s.billing_id for s in dataset.subscribers
-        if s.segment == task.segment
-        and (task.service_type is None or s.service_type == task.service_type)
+        b for b, segment, service_type in zip(
+            subs.column("billing_id"), subs.column("segment"), subs.column("service_type"))
+        if segment == task.segment
+        and (task.service_type is None or service_type == task.service_type)
     }
-    subscribers = [s for s in dataset.subscribers if s.billing_id in qualifying]
-    customers = {s.customer_id for s in subscribers}
+
+    def rows_in(table, key: str, keep: set):  # by a mask over one column
+        column = table.column(key)
+        return table.take(np.flatnonzero(np.fromiter(map(keep.__contains__, column), bool,
+                                                     len(column))))
+
+    subscribers = rows_in(subs, "billing_id", qualifying)
     return TelcoDataset(
         subscribers=subscribers,
-        billing=[r for r in dataset.billing if r.billing_id in qualifying],
-        usage=[r for r in dataset.usage if r.billing_id in qualifying],
-        service_requests=[r for r in dataset.service_requests if r.customer_id in customers],
+        billing=rows_in(dataset.billing, "billing_id", qualifying),
+        usage=rows_in(dataset.usage, "billing_id", qualifying),
+        service_requests=rows_in(dataset.service_requests, "customer_id",
+                                 set(subscribers.column("customer_id"))),
     )
 
 
@@ -194,7 +204,7 @@ def build_config(file_values: dict[str, str], **overrides) -> PipelineConfig:
 def cmd_generate(cfg: PipelineConfig) -> str:
     dataset = generate(cfg.generator_config())
     write_tables(dataset, cfg.data_dir)
-    churners = sum(1 for s in dataset.subscribers if s.termination_date is not None)
+    churners = sum(d is not None for d in dataset.subscribers.column("termination_date"))
     return (f"wrote {len(dataset.subscribers)} subscribers "
             f"({churners} churners) to {cfg.data_dir}")
 
@@ -283,6 +293,10 @@ def rank_predictions(billing_ids: list[str], scores, direction: str,
 def cmd_predict(cfg: PipelineConfig, holdout: bool = False) -> str:
     model = _load_final_model(cfg)
     matrix = read_matrix(cfg.path("test.csv"))
+    missing = sorted(model_features(model) - set(matrix.feature_names))
+    if missing:
+        raise ValueError(f"{cfg.path('test.csv')} lacks feature columns the model uses: "
+                         f"{', '.join(missing)}")
     scores, predicted = predict_matrix(model, matrix)
     top_n = cfg.top_n if cfg.top_n is not None else 100
     ranked = rank_predictions(matrix.billing_ids, scores, cfg.task.direction, top_n)

@@ -3,14 +3,15 @@
 Numeric features get a per-class Gaussian (population variance, floored at
 1e-9 of the feature's overall variance to survive constant columns);
 categorical features get Laplace +1 smoothed frequencies. Missing values
-are skipped both when fitting and when scoring a row. The score is the
-class-1 log-posterior odds, so class 1 is predicted iff score > 0 and ties
-fall to class 0.
+(None or NaN) are skipped both when fitting and when scoring, and so is a
+feature the scored matrix lacks. The score is the class-1 log-posterior
+odds, so class 1 is predicted iff score > 0 and ties fall to class 0.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +51,7 @@ class BayesModel:
                          - _gauss_loglik(x, g.mean[0], g.var[0]))
         for name, c in self.categorical.items():
             v = row.get(name)
-            if v is None:
+            if v is None or v != v:  # None or NaN: missing
                 continue
             k = len(c.categories)
             c1, c0 = 0, 0
@@ -68,17 +69,21 @@ class BayesModel:
         for name, g in self.numeric.items():
             if not g.usable:
                 continue
-            x = matrix.columns[name]
+            x = matrix.columns.get(name)
+            if x is None:  # an absent feature is missing in every row
+                continue
             ok = ~np.isnan(x)
             delta = (_gauss_loglik_vec(x, g.mean[1], g.var[1])
                      - _gauss_loglik_vec(x, g.mean[0], g.var[0]))
             out += np.where(ok, delta, 0.0)
         for name, c in self.categorical.items():
-            col = matrix.columns[name]
+            col = matrix.columns.get(name)
+            if col is None:
+                continue
             k = len(c.categories)
             delta = np.zeros(matrix.n_rows)
             for i, v in enumerate(col):
-                if v is None:
+                if v is None or v != v:  # None or NaN: missing
                     continue
                 c0, c1 = c.counts.get(v, (0, 0))
                 delta[i] = (math.log((c1 + 1) / (c.totals[1] + k))
@@ -127,11 +132,11 @@ def train_bayes(matrix: FeatureMatrix) -> BayesModel:
         else:
             counts: dict[str, list[int]] = {}
             totals = [0, 0]
-            for v, cls in zip(col, y):
-                if v is None:
+            for (v, cls), c in Counter(zip(col, y.tolist())).items():
+                if v is None or v != v:  # None or NaN: missing
                     continue
-                counts.setdefault(v, [0, 0])[cls] += 1
-                totals[cls] += 1
+                counts.setdefault(v, [0, 0])[cls] += c
+                totals[cls] += c
             model.categorical[name] = CategoryStats(
                 sorted(counts), {v: (c[0], c[1]) for v, c in counts.items()},
                 (totals[0], totals[1]))

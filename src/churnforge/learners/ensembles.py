@@ -16,7 +16,7 @@ import numpy as np
 
 from ..features import FeatureMatrix
 from .conditions import TrainingData
-from .trees import TreeModel, TreeNode, fit_tree
+from .trees import TreeModel, TreeNode, fit_tree, fit_trees
 
 VOTE = "vote"
 MARGIN = "margin"
@@ -60,20 +60,29 @@ def _member_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng((seed, index))
 
 
+def _train_members(td: TrainingData, seed: int, indexes: list[int], bootstrap: bool,
+                   max_depth: int, min_leaf: int,
+                   features_per_split: int | None) -> list[TreeModel]:
+    """Bagged trees number `indexes`, grown in lockstep on one presort. Each
+    is a pure function of (matrix, seed, index): its rng draws its
+    bootstrap sample (the multiplicity of each row in n draws with
+    replacement), then its features, and members do not interact."""
+    rngs = [_member_rng(seed, i) for i in indexes]
+    counts = None
+    if bootstrap:
+        counts = np.array([np.bincount(rng.integers(0, td.n, size=td.n), minlength=td.n)
+                           for rng in rngs]).reshape(len(rngs), td.n)
+    return fit_trees(td, rngs, max_depth=max_depth, min_leaf=min_leaf, counts=counts,
+                     features_per_split=features_per_split)
+
+
 def _train_member(data: FeatureMatrix | TrainingData, seed: int, index: int, bootstrap: bool,
                   max_depth: int, min_leaf: int,
                   features_per_split: int | None) -> TreeModel:
-    """One bagged tree; pure function of (matrix, seed, index) so member
-    training order cannot matter. Passing the matrix's TrainingData lets
-    members share one presort. The bootstrap sample is the multiplicity of
-    each row in n draws with replacement."""
+    """One bagged tree, alone; equal to member `index` of a lockstep fit."""
     td = data if isinstance(data, TrainingData) else TrainingData(data)
-    rng = _member_rng(seed, index)
-    counts = None
-    if bootstrap:
-        counts = np.bincount(rng.integers(0, td.n, size=td.n), minlength=td.n)
-    return fit_tree(td, max_depth=max_depth, min_leaf=min_leaf, counts=counts,
-                    features_per_split=features_per_split, rng=rng)
+    return _train_members(td, seed, [index], bootstrap, max_depth, min_leaf,
+                          features_per_split)[0]
 
 
 def train_bagging(matrix: FeatureMatrix, n_trees: int = 25, seed: int = 0,
@@ -81,9 +90,8 @@ def train_bagging(matrix: FeatureMatrix, n_trees: int = 25, seed: int = 0,
                   min_leaf: int = 1) -> EnsembleModel:
     if n_trees < 1:
         raise ValueError("n_trees must be positive")
-    td = TrainingData(matrix)
-    return EnsembleModel(VOTE, [_train_member(td, seed, i, bootstrap, max_depth, min_leaf, None)
-                                for i in range(n_trees)])
+    return EnsembleModel(VOTE, _train_members(TrainingData(matrix), seed, list(range(n_trees)),
+                                              bootstrap, max_depth, min_leaf, None))
 
 
 def train_forest(matrix: FeatureMatrix, n_trees: int = 25, seed: int = 0,
@@ -93,9 +101,8 @@ def train_forest(matrix: FeatureMatrix, n_trees: int = 25, seed: int = 0,
         raise ValueError("n_trees must be positive")
     if features_per_split is None:
         features_per_split = max(1, int(round(math.sqrt(len(matrix.feature_names)))))
-    td = TrainingData(matrix)
-    return EnsembleModel(VOTE, [_train_member(td, seed, i, bootstrap, max_depth, min_leaf,
-                                              features_per_split) for i in range(n_trees)])
+    return EnsembleModel(VOTE, _train_members(TrainingData(matrix), seed, list(range(n_trees)),
+                                              bootstrap, max_depth, min_leaf, features_per_split))
 
 
 def _constant_member(matrix: FeatureMatrix) -> TreeModel:

@@ -50,7 +50,11 @@ class TreeModel:
         if node.is_leaf:
             out[idx] = node.p1
             return
-        left = _route_mask(node.condition, matrix.columns[node.condition.feature][idx])
+        column = matrix.columns.get(node.condition.feature)
+        if column is None:  # an absent feature is missing in every row
+            left = np.full(len(idx), node.condition.missing_goes == "left")
+        else:
+            left = _route_mask(node.condition, column[idx])
         self._assign(node.left, idx[left], matrix, out)
         self._assign(node.right, idx[~left], matrix, out)
 
@@ -69,25 +73,60 @@ def _route_mask(cond: SplitCondition, values: np.ndarray) -> np.ndarray:
     return left
 
 
-def _grow(search: GiniSearch, rows: np.ndarray, depth: int, max_depth: int,
-          features_per_split, rng) -> TreeNode:
+def grow(search: GiniSearch, max_depth: int, features_per_split: int | None,
+         rngs: list) -> list[TreeNode]:
+    """One tree per member of `search`, grown in lockstep.
+
+    Each member keeps its own depth-first stack. At every step each member
+    pops nodes until one can split (below max_depth, at least 2 * min_leaf
+    rows, not pure), draws its features from its own rng, and the search
+    scores all those nodes in one batch. Children are pushed right then
+    left, so every member visits its nodes, and draws, in the preorder of
+    a recursive grower."""
     td = search.td
-    n, p1, pure = search.leaf(rows)
-    tree = TreeNode(n, p1)
-    if depth >= max_depth or n < 2 * search.min_leaf or pure:
-        return tree
-    if features_per_split is not None and features_per_split < len(td.features):
-        picked = rng.choice(len(td.features), size=features_per_split, replace=False)
-        features = [td.features[i] for i in sorted(picked)]
-    else:
-        features = td.features
-    choice = search.best(rows, features)
-    if choice is None:
-        return tree
-    tree.condition, left, _ = choice
-    tree.left = _grow(search, rows[left], depth + 1, max_depth, features_per_split, rng)
-    tree.right = _grow(search, rows[~left], depth + 1, max_depth, features_per_split, rng)
-    return tree
+    sample = features_per_split is not None and features_per_split < len(td.features)
+    every = np.arange(len(td.features))
+    roots, stacks = [], []
+    for member in range(search.members):
+        node = search.root(member)
+        roots.append(TreeNode(node.n, node.p1))
+        stacks.append([(roots[-1], node, 0)])
+    while True:
+        batch, features = [], []
+        for member, stack in enumerate(stacks):
+            while stack:
+                tree, node, depth = stack.pop()
+                if depth >= max_depth or node.n < 2 * search.min_leaf or node.pure:
+                    continue
+                features.append(np.sort(rngs[member].choice(
+                    len(td.features), size=features_per_split, replace=False)) if sample else every)
+                batch.append((tree, node, depth))
+                break
+        if not batch:
+            return roots
+        for (tree, node, depth), found in zip(batch, search.split([b[1] for b in batch], features)):
+            if found is None:
+                continue
+            tree.condition, _, _, left, right = found
+            tree.left, tree.right = TreeNode(left.n, left.p1), TreeNode(right.n, right.p1)
+            stacks[node.member] += [(tree.right, right, depth + 1), (tree.left, left, depth + 1)]
+
+
+def fit_trees(td: TrainingData, rngs: list, max_depth: int = 6, min_leaf: int = 1,
+              counts: np.ndarray | None = None, weights: np.ndarray | None = None,
+              features_per_split: int | None = None) -> list[TreeModel]:
+    """Grow one tree per rng on presorted data, in lockstep; `counts` holds
+    each tree's bootstrap row multiplicities, one line per tree (rows drawn
+    0 times take no part). A weighted fit grows one tree."""
+    if max_depth < 1 or min_leaf < 1:
+        raise ValueError("max_depth and min_leaf must be positive")
+    if td.n == 0:
+        raise ValueError("cannot train on an empty matrix")
+    if counts is None:
+        counts = np.ones((len(rngs), td.n), dtype=np.int64)
+    search = GiniSearch(td, counts=counts, weights=weights, min_leaf=min_leaf)
+    return [TreeModel(root, list(td.feature_names))
+            for root in grow(search, max_depth, features_per_split, rngs)]
 
 
 def fit_tree(td: TrainingData, max_depth: int = 6, min_leaf: int = 1,
@@ -96,14 +135,8 @@ def fit_tree(td: TrainingData, max_depth: int = 6, min_leaf: int = 1,
              rng: np.random.Generator | None = None) -> TreeModel:
     """Grow one tree on presorted data; `counts` are bootstrap row
     multiplicities (rows drawn 0 times take no part)."""
-    if max_depth < 1 or min_leaf < 1:
-        raise ValueError("max_depth and min_leaf must be positive")
-    if td.n == 0:
-        raise ValueError("cannot train on an empty matrix")
-    rows = np.arange(td.n) if counts is None else np.flatnonzero(counts)
-    search = GiniSearch(td, counts=counts, weights=weights, min_leaf=min_leaf)
-    return TreeModel(_grow(search, rows, 0, max_depth, features_per_split, rng),
-                     list(td.feature_names))
+    return fit_trees(td, [rng], max_depth, min_leaf, None if counts is None else counts[None],
+                     weights, features_per_split)[0]
 
 
 def train_cart(matrix: FeatureMatrix, max_depth: int = 6, min_leaf: int = 1,

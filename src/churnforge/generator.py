@@ -7,18 +7,29 @@ planted signal: a churner's download/upload volume drops over the three
 months before the termination month, scaled by ``signal_strength``;
 payments weaken and billing credits become more frequent over the same
 months, but deliberately less sharply than usage.
+
+A segment is generated in two phases. ``_draw`` is the only loop over
+subscribers: it makes each stream's draws in stream order, keeping only the
+branches that decide which draws happen, into per-segment arrays.
+``_derive`` computes every derived column (months, dates, prices, volumes,
+payments, requests) once per segment with the numpy operations of a
+per-subscriber computation, in the same order, so values agree bit for bit;
+``_assemble`` builds the tables. ``_build_service`` is a read-only view of
+one subscriber, generated as a batch of one.
 """
 
 from __future__ import annotations
 
-import itertools
+import datetime as dt
+import numbers
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import (SORT_KEYS, BillingMonthRecord, ServiceRequestRecord, SubscriberRecord, Table,
                    TelcoDataset, UsageMonthRecord)
-from .months import Month, month_range
+from .months import Month
 
 # decline ramp, indexed by whole months until the termination month; 0 from 4 on
 _RAMP = np.array([0.95, 0.9, 0.6, 0.3, 0.0])
@@ -33,6 +44,8 @@ _PRICES = {  # cents
     ("sme", "voice"): (3900, 5900, 8900, 11900),
     ("sme", "voice_broadband"): (9900, 14900, 19900, 24900),
 }
+_SERVICES = ("voice", "voice_broadband")  # indexed by whether the service carries data
+_UL_MU = np.log(0.15)
 
 
 @dataclass(frozen=True)
@@ -47,7 +60,14 @@ class GeneratorConfig:
     signal_strength: float = 0.8
 
     def validate(self):
-        if self.n_consumers < 0 or self.n_smes < 0 or self.n_consumers + self.n_smes == 0:
+        for name in ("seed", "n_consumers", "n_smes"):
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or v < 0:
+                raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
+        for name in ("months_start", "months_end"):
+            if not isinstance(getattr(self, name), Month):
+                raise ValueError(f"{name} must be a Month, got {getattr(self, name)!r}")
+        if self.n_consumers + self.n_smes == 0:
             raise ValueError("need a positive number of subscribers")
         for name in ("churn_rate", "winback_rate"):
             v = getattr(self, name)
@@ -72,43 +92,9 @@ _LOCATION_CDF = _cdf(_LOCATION_W)
 
 
 def _pick(rng: np.random.Generator, cdf: np.ndarray) -> int:
-    """The index ``rng.choice(len(cdf), p=...)`` draws, with the same draw."""
+    """The index ``rng.choice(len(cdf), p=...)`` draws, with the same draw;
+    ``_derive`` runs this search over a whole segment's draws at once."""
     return int(cdf.searchsorted(rng.random(), side="right"))
-
-
-@dataclass(slots=True)
-class _ServiceBlock:
-    """Everything one subscriber record contributes, drawn from its own stream.
-
-    ``profile`` holds the subscriber's row by field name; ``_assemble``
-    fills in its three ids. Monthly sequences hold one entry per month with
-    table rows, starting ``first`` months after the coverage start (through
-    the termination month for churners).
-    """
-
-    profile: dict
-    first: int
-    dl: list[float]
-    ul: list[float]
-    vmin: list[float]
-    vcalls: list[int]
-    charge: list[int]  # cents billed for this service per month
-    request_dates: list
-    request_codes: list[str]
-    # account-level dynamics, used only when this record leads its billing account
-    pay_ratio: list[float]
-    pay_reversal: list[bool]
-    credit: list[int]
-    first_last_bill: int
-
-    @property
-    def record(self) -> SubscriberRecord:
-        return SubscriberRecord(**self.profile)
-
-    @property
-    def requests(self) -> list[ServiceRequestRecord]:
-        return list(map(ServiceRequestRecord, itertools.repeat(self.profile["customer_id"]),
-                        self.request_dates, self.request_codes))
 
 
 def _ids(segment: str, cust_idx: int, bill_idx: int, svc_idx: int) -> tuple[str, str, str]:
@@ -131,86 +117,135 @@ def _owners(i: int) -> tuple[int, int]:
     return i, i
 
 
-def _build_service(cfg: GeneratorConfig, segment: str, idx: int,
-                   term_set: frozenset[int], back_set: frozenset[int]) -> _ServiceBlock:
-    rng = np.random.default_rng((cfg.seed, 0 if segment == "consumer" else 1, idx))
-    cov_start, cov_end = cfg.months_start, cfg.months_end
-    n_cov = cov_end.diff(cov_start) + 1
+def _draw(cfg: GeneratorConfig, segment: str, idxs, term_set, back_set) -> dict:
+    """Phase 1: the draws of records ``idxs``, each from its own stream, into
+    per-record arrays and (record, coverage month) blocks. Two consecutive
+    ``random`` calls are made as one, which consumes the stream the same
+    way; bounded ``integers`` calls are never merged."""
+    n, n_cov = len(idxs), cfg.months_end.diff(cfg.months_start) + 1
+    r = {f: np.zeros(n, np.int64) for f in ("act", "act_day", "tenure", "tier", "term",
+                                             "term_day", "back", "back_day", "last_bill")}
+    r.update(idx=np.array(idxs, np.int64), data=np.zeros(n, np.intp), pick=np.zeros((n, 3)),
+             base=np.zeros((n, 4)), noise=np.zeros((n, 3, n_cov)))
+    r.update({f: np.zeros((n, n_cov)) for f in ("pay", "reversal", "credit", "extra")})
+    r.update({f: np.zeros((n, n_cov), np.int64) for f in ("amount", "day", "code")})
+    for k, idx in enumerate(idxs):
+        rng = np.random.default_rng((cfg.seed, 0 if segment == "consumer" else 1, idx))
+        churner = idx in term_set
+        data = int(segment == "consumer" or idx % 2 == 1)
+        act = (-int(rng.integers(1, 61)) if churner or rng.random() < 0.88
+               else int(rng.integers(0, n_cov - 1)))
+        r["act_day"][k], r["tenure"][k] = rng.integers(1, 29), rng.integers(0, 37)
+        r["pick"][k, 0] = rng.random()  # contract
+        r["tier"][k] = rng.integers(0, len(_PRICES[segment, _SERVICES[data]]))
+        rng.random(out=r["pick"][k, 1:])  # location, hsbb
+        term = n_cov + 3  # past the coverage end by more than the ramp
+        if churner:
+            # termination months span [cov_start+3, cov_end+3]
+            term = 3 + int(rng.integers(0, n_cov))
+            r["term_day"][k] = rng.integers(1, 29)
+            if idx in back_set:
+                r["back"][k], r["back_day"][k] = rng.integers(2, 7), rng.integers(1, 29)
+        r["act"][k], r["term"][k], r["data"][k] = act, term, data
+        # at least one month: activation precedes cov_end, termination follows cov_start
+        months = slice(max(act, 0), min(n_cov - 1, term) + 1)
+        m = months.stop - months.start
+        if data:
+            r["base"][k, 0] = rng.normal(7.2, 0.55)
+        r["base"][k, 1:] = rng.normal(_UL_MU, 0.3), rng.normal(5.3, 0.6), rng.normal(3.2, 0.7)
+        r["noise"][k, :, months] = rng.normal(0.0, 0.18, size=(3, m))
+        r["pay"][k, months] = rng.normal(1.0, 0.05, size=m)
+        rng.random(out=r["reversal"][k, months])
+        rng.random(out=r["credit"][k, months])
+        r["amount"][k, months] = rng.integers(100, 3000, size=m)
+        rng.random(out=r["extra"][k, months])
+        r["day"][k, months] = rng.integers(1, 29, size=m)
+        r["code"][k, months] = rng.integers(0, len(_REQUEST_CODES), size=m)
+        r["last_bill"][k] = rng.integers(0, 2000)
+    return r
 
-    is_churner = idx in term_set
-    service_type = "voice_broadband" if segment == "consumer" else ("voice" if idx % 2 == 0 else "voice_broadband")
-    has_data = service_type == "voice_broadband"
 
-    # --- subscriber profile ---------------------------------------------
-    if is_churner or rng.random() < 0.88:
-        act_month = cov_start.plus(-int(rng.integers(1, 61)))
-    else:
-        act_month = cov_start.plus(int(rng.integers(0, n_cov - 1)))
-    activation = act_month.day(int(rng.integers(1, 29)))
-    since = activation.replace(day=1)
-    since = Month.of(since).plus(-int(rng.integers(0, 37))).day(min(activation.day, 28))
-    # the draws rng.choice makes for these three picks, without its overhead
-    contract = _CONTRACTS[_pick(rng, _CONTRACT_CDF)]
-    prices = _PRICES[(segment, service_type)]
-    price = prices[int(rng.integers(0, len(prices)))]
-    location = _LOCATIONS[_pick(rng, _LOCATION_CDF)]
-    hsbb = int(rng.random() < 0.45)
+def _dates(months: np.ndarray, days: np.ndarray, on: np.ndarray | None = None) -> list:
+    """Dates at month indexes ``months`` and days ``days``, None where not
+    ``on``. Days run 1..28, which every month has, so none is clamped; each
+    (month, day) date is built once."""
+    on = np.ones(len(months), bool) if on is None else on
+    out = np.full(len(months), None, dtype=object)
+    if on.any():
+        lo = months[on].min()
+        cache = np.array([[dt.date(m // 12, m % 12 + 1, d) for d in range(1, 29)]
+                          for m in range(lo, months[on].max() + 1)], dtype=object)
+        out[on] = cache[months[on] - lo, days[on] - 1]
+    return out.tolist()
 
-    term_month = None
-    termination = comeback = None
-    if is_churner:
-        # termination months span [cov_start+3, cov_end+3]
-        term_month = cov_start.plus(3 + int(rng.integers(0, n_cov)))
-        termination = term_month.day(int(rng.integers(1, 29)))
-        if idx in back_set:
-            comeback = term_month.plus(int(rng.integers(2, 7))).day(int(rng.integers(1, 29)))
 
-    profile = dict(customer_id="", billing_id="", service_id="", segment=segment,
-                   service_type=service_type, activation_date=activation,
-                   customer_since=since, contract_period=contract, price_start=price,
-                   t_location=location, hsbb_area=hsbb, termination_date=termination,
-                   comeback_date=comeback)
+def _derive(cfg: GeneratorConfig, segment: str, r: dict) -> dict:
+    """Phase 2: every derived column of a batch, from its raw draws: monthly
+    (record, coverage month) blocks, ``valid`` in the record's months, and
+    the profile and request Tables."""
+    n, n_cov = r["noise"].shape[0], r["noise"].shape[2]
+    cov, s, t = cfg.months_start.index, cfg.signal_strength, np.arange(n_cov)
+    first, data = np.maximum(r["act"], 0), r["data"]
+    valid = (first[:, None] <= t) & (t <= r["term"][:, None])
+    ramp = _RAMP[np.clip(r["term"][:, None] - t, 0, 4)]
+    # price tiers by (has data, tier draw); consumers have no voice-only row
+    price = np.array([_PRICES.get((segment, v), (0,) * 4) for v in _SERVICES])[data, r["tier"]]
 
-    # --- monthly usage ----------------------------------------------------
-    # at least one month: activation precedes cov_end, termination follows cov_start
-    first = max(cov_start, act_month)
-    last = min(cov_end, term_month) if term_month is not None else cov_end
-    n_m = last.diff(first) + 1
-
-    dl_base = float(np.exp(rng.normal(7.2, 0.55))) if has_data else 0.0
-    ul_ratio = float(np.exp(rng.normal(np.log(0.15), 0.3)))
-    vmin_base = float(np.exp(rng.normal(5.3, 0.6)))
-    call_min = min(max(rng.normal(3.2, 0.7), 1.5), 6.0)  # minutes per call
-
-    noise = np.exp(rng.normal(0.0, 0.18, size=(3, n_m)))
-    pay_noise = np.clip(rng.normal(1.0, 0.05, size=n_m), 0.7, 1.3)
-    reversal_draw = rng.random(n_m)
-    credit_draw = rng.random(n_m)
-    credit_amt = rng.integers(100, 3000, size=n_m)
-    req_extra = rng.random(n_m)
-    req_days = rng.integers(1, 29, size=n_m)
-    req_codes = rng.integers(0, len(_REQUEST_CODES), size=n_m)
-    first_last_bill = price + int(rng.integers(0, 2000))
-
-    ramp = (_RAMP[np.minimum(term_month.diff(first) - np.arange(n_m), 4)]
-            if term_month is not None else np.zeros(n_m))
-    s = cfg.signal_strength
-    dl = np.round(dl_base * (1.0 - s * ramp) * noise[0], 3)
-    ul = np.round(dl_base * ul_ratio * (1.0 - s * ramp) * noise[1], 3)
-    vmin = np.round(vmin_base * (1.0 - 0.5 * s * ramp) * noise[2], 1)
-    charge = price + (dl * 1.2).astype(np.int64) + (vmin * 3).astype(np.int64)
-    pay_ratio = pay_noise * (1.0 - 0.35 * s * ramp)
-    credit = np.where(credit_draw < 0.07 + 0.10 * s * ramp, -credit_amt, 0)
+    dl_base = np.where(data == 1, np.exp(r["base"][:, 0]), 0.0)
+    ul_ratio, vmin_base = np.exp(r["base"][:, 1]), np.exp(r["base"][:, 2])
+    call_min = np.minimum(np.maximum(r["base"][:, 3], 1.5), 6.0)  # minutes per call
+    noise = np.exp(r["noise"])
+    dl = np.round(dl_base[:, None] * (1.0 - s * ramp) * noise[:, 0], 3)
+    ul = np.round((dl_base * ul_ratio)[:, None] * (1.0 - s * ramp) * noise[:, 1], 3)
+    vmin = np.round(vmin_base[:, None] * (1.0 - 0.5 * s * ramp) * noise[:, 2], 1)
     # service requests: sparse, slightly elevated before termination
-    requested = np.flatnonzero(req_extra < 0.06 * (1.0 + 2.5 * s * ramp)).tolist()
+    requested = valid & (r["extra"] < 0.06 * (1.0 + 2.5 * s * ramp))
 
-    return _ServiceBlock(
-        profile, first.diff(cov_start), dl.tolist(), ul.tolist(), vmin.tolist(),
-        np.rint(vmin / call_min).astype(np.int64).tolist(), charge.tolist(),
-        [first.plus(j).day(int(req_days[j])) for j in requested],
-        [_REQUEST_CODES[int(req_codes[j])] for j in requested],
-        pay_ratio.tolist(), (reversal_draw < 0.01).tolist(), credit.tolist(),
-        first_last_bill)
+    idx = r["idx"].tolist()
+    owners = [_owners(i) for i in idx]
+    customers, billing, services = map(list, zip(*(
+        _ids(segment, c, b, i) for (c, b), i in zip(owners, idx))))
+    term_month = cov + r["term"]
+    return dict(
+        valid=valid, month0=cov, leads=np.array([b for _, b in owners]) == idx,
+        dl=dl, ul=ul, vmin=vmin, vcalls=np.rint(vmin / call_min[:, None]).astype(np.int64),
+        charge=price[:, None] + (dl * 1.2).astype(np.int64) + (vmin * 3).astype(np.int64),
+        pay_ratio=np.clip(r["pay"], 0.7, 1.3) * (1.0 - 0.35 * s * ramp),
+        pay_reversal=r["reversal"] < 0.01,
+        credit=np.where(r["credit"] < 0.07 + 0.10 * s * ramp, -r["amount"], 0),
+        first_last_bill=price + r["last_bill"],
+        subscribers=Table(SubscriberRecord, columns=dict(
+            customer_id=customers, billing_id=billing, service_id=services,
+            segment=[segment] * n, service_type=[_SERVICES[d] for d in data.tolist()],
+            activation_date=_dates(cov + r["act"], r["act_day"]),
+            customer_since=_dates(cov + r["act"] - r["tenure"], r["act_day"]),
+            contract_period=np.array(_CONTRACTS)[
+                _CONTRACT_CDF.searchsorted(r["pick"][:, 0], side="right")],
+            price_start=price,
+            t_location=[_LOCATIONS[i] for i in
+                        _LOCATION_CDF.searchsorted(r["pick"][:, 1], side="right").tolist()],
+            hsbb_area=(r["pick"][:, 2] < 0.45).astype(np.int64),
+            # a drawn day (1..28) marks a termination or a comeback
+            termination_date=_dates(term_month, r["term_day"], r["term_day"] > 0),
+            comeback_date=_dates(term_month + r["back"], r["back_day"], r["back_day"] > 0))),
+        requests=Table(ServiceRequestRecord, columns=dict(
+            customer_id=[customers[i] for i in np.nonzero(requested)[0].tolist()],
+            request_date=_dates(cov + np.nonzero(requested)[1], r["day"][requested]),
+            request_code=[_REQUEST_CODES[c] for c in r["code"][requested].tolist()])))
+
+
+_MONTHLY = ("dl", "ul", "vmin", "vcalls", "charge", "pay_ratio", "pay_reversal", "credit")
+_Service = namedtuple("_Service", ("record", "requests", "first", "first_last_bill", *_MONTHLY))
+
+
+def _build_service(cfg: GeneratorConfig, segment: str, idx: int,
+                   term_set: frozenset[int], back_set: frozenset[int]) -> _Service:
+    """Record ``idx`` alone: both phases on a batch of one, viewed as its
+    record, requests and months (lists from coverage month ``first`` on)."""
+    seg = _derive(cfg, segment, _draw(cfg, segment, [idx], term_set, back_set))
+    months = seg["valid"][0]
+    return _Service(seg["subscribers"][0], list(seg["requests"]), int(months.argmax()),
+                    int(seg["first_last_bill"][0]), *(seg[f][0, months].tolist() for f in _MONTHLY))
 
 
 def _choose(rng: np.random.Generator, n: int, k: int) -> frozenset[int]:
@@ -226,79 +261,44 @@ def generate(config: GeneratorConfig) -> TelcoDataset:
     for segment, n in (("consumer", config.n_consumers), ("sme", config.n_smes)):
         if n == 0:
             continue
-        seg_code = 0 if segment == "consumer" else 1
-        pick = np.random.default_rng((config.seed, seg_code, 0xC4A11))
+        pick = np.random.default_rng((config.seed, 0 if segment == "consumer" else 1, 0xC4A11))
         term_set = _choose(pick, n, int(round(n * config.churn_rate)))
         back_set = _choose(pick, len(term_set), int(round(len(term_set) * config.winback_rate)))
         # back_set indexes into the sorted churner list for determinism
         churners_sorted = sorted(term_set)
         back_ids = frozenset(churners_sorted[i] for i in back_set)
-
-        blocks = [_build_service(config, segment, i, term_set, back_ids) for i in range(n)]
-        _assemble(ds, segment, blocks, month_range(config.months_start, config.months_end))
+        # the raw draws are freed once derived, before the grids are built
+        _assemble(ds, _derive(config, segment,
+                              _draw(config, segment, range(n), term_set, back_ids)))
     return ds
 
 
-def _assemble(ds: TelcoDataset, segment: str, blocks: list[_ServiceBlock],
-              months: list[Month]) -> None:
-    """Stitch per-service blocks into the tables' columns. Pure; draws no
+def _assemble(ds: TelcoDataset, seg: dict) -> None:
+    """Stitch a derived segment into the tables' columns. Pure; draws no
     randomness.
 
     Billing accounts are rows of (account, coverage month) grids, so the
     month-to-month balance carry-over runs once per month for all accounts.
     """
-    leaders: list[int] = []  # record index of each billing account, ascending
-    account: list[int] = []  # grid row of each record's billing account
-    for i, blk in enumerate(blocks):
-        cust, bill = _owners(i)
-        blk.profile.update(zip(("customer_id", "billing_id", "service_id"),
-                               _ids(segment, cust, bill, i)))
-        if bill == i:
-            leaders.append(i)
-        account.append(len(leaders) - 1)  # a member directly follows its leader
-    profiles = [blk.profile for blk in blocks]
-    ds.subscribers.extend(Table(SubscriberRecord, columns={
-        name: [p[name] for p in profiles] for name in profiles[0]}))
-    ds.service_requests.extend(Table(ServiceRequestRecord, columns={
-        "customer_id": [p["customer_id"] for blk, p in zip(blocks, profiles)
-                        for _ in blk.request_dates],
-        "request_date": list(itertools.chain.from_iterable(b.request_dates for b in blocks)),
-        "request_code": list(itertools.chain.from_iterable(b.request_codes for b in blocks)),
-    }))
+    ds.subscribers.extend(seg["subscribers"])
+    ds.service_requests.extend(seg["requests"])
+    valid = seg["valid"]
+    leaders = np.flatnonzero(seg["leads"])  # a member directly follows its leader
 
-    # every record-month, in record order, as a flat index into the
-    # (account, coverage month) grids
-    shape = (len(leaders), len(months))
-    lengths = np.array([len(blk.dl) for blk in blocks])
-    starts = np.array(account) * shape[1] + [blk.first for blk in blocks]
-    cell = np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
-    leads = np.repeat([leaders[a] == i for i, a in enumerate(account)], lengths)
-
-    def grid(field: str, dtype, fill=0, own=False):
-        """``field`` on the grid: members add onto their leader's cells in
-        record order, or with ``own`` the leader's values alone count."""
-        values = np.fromiter(itertools.chain.from_iterable(getattr(blk, field) for blk in blocks),
-                             dtype, len(cell))
-        out = np.full(shape[0] * shape[1], fill, dtype=dtype)
-        if own:
-            out[cell[leads]] = values[leads]
-        else:
-            np.add.at(out, cell, values)
-        return out.reshape(shape)
-
-    active = np.zeros(shape[0] * shape[1], dtype=bool)
-    active[cell] = True
-    active = active.reshape(shape)
-    current, credit, vcalls = (grid(f, np.int64) for f in ("charge", "credit", "vcalls"))
-    dl, ul, vmin = (grid(f, np.float64) for f in ("dl", "ul", "vmin"))
-    pay_ratio = grid("pay_ratio", np.float64, fill=1.0, own=True)
-    reversal = grid("pay_reversal", bool, own=True)
-
+    # members add onto their leader's months in record order; how an account
+    # pays is its leader's alone
+    active = np.logical_or.reduceat(valid, leaders)
+    current, credit, vcalls, dl, ul, vmin = (
+        np.add.reduceat(np.where(valid, seg[f], 0), leaders)
+        for f in ("charge", "credit", "vcalls", "dl", "ul", "vmin"))
+    pay_ratio, reversal = (np.where(valid, seg[f], fill)[leaders]
+                           for f, fill in (("pay_ratio", 1.0), ("pay_reversal", False)))
+    shape = active.shape
     last_bill, amt_2pay, outstanding, payment = (np.zeros(shape, dtype=np.int64)
                                                  for _ in range(4))
-    prev_current = np.array([blocks[i].first_last_bill for i in leaders], dtype=np.int64)
+    prev_current = seg["first_last_bill"][leaders]
     prev_unpaid = np.zeros(len(leaders), dtype=np.int64)
-    for t in range(len(months)):
+    for t in range(shape[1]):
         on = active[:, t]
         amt = current[:, t] + prev_unpaid
         paid = np.where(reversal[:, t], -(amt * 0.1).astype(np.int64),
@@ -311,9 +311,9 @@ def _assemble(ds: TelcoDataset, segment: str, blocks: list[_ServiceBlock],
 
     # cells in row-major order are sorted by (billing_id, month)
     rows, cols = np.nonzero(active)
-    leader_ids = [profiles[i]["billing_id"] for i in leaders]
-    cells = {"billing_id": [leader_ids[r] for r in rows.tolist()],
-             "month": np.array([m.index for m in months])[cols]}
+    billing_ids = seg["subscribers"].column("billing_id")
+    cells = {"billing_id": [billing_ids[i] for i in leaders[rows].tolist()],
+             "month": seg["month0"] + cols}
     ds.billing.extend(Table(BillingMonthRecord, columns=dict(cells, **{
         name: a[active] for name, a in (
             ("current_bill_amt", current), ("last_bill_amt", last_bill),

@@ -169,3 +169,12 @@ def test_extract_rejects_table_with_unknown_reference(workdir, tmp_path, capsys)
     assert main(["extract", "--task", "1", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err == "error: billing row references unknown billing_id B_UNKNOWN\n"
+
+
+def test_negative_seed_fails_naming_the_field(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"data_dir = {tmp_path / 'data'}\nn_consumers = 50\nn_smes = 5\n",
+                   encoding="utf-8")
+    assert main(["generate", "--config", str(cfg), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+    assert not (tmp_path / "data").exists()

@@ -223,3 +223,21 @@ def test_winback_subscribers_have_comebacks(small_dataset):
 def test_dataset_field_equality_is_deep(small_dataset):
     clone = dataclasses.replace(small_dataset)
     assert clone == small_dataset
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", -1), ("seed", 2.5), ("seed", "7"), ("n_consumers", 2.5), ("n_smes", "100"),
+    ("n_consumers", -3), ("months_start", "2011-01"), ("months_end", (2011, 12)),
+])
+def test_config_diagnostics_name_the_field(field, value, monkeypatch):
+    """A bad seed, count or month range fails in ``validate`` with one
+    ValueError that names the field, before any stream is drawn."""
+    cfg = GeneratorConfig(**{"n_consumers": 50, "n_smes": 5, field: value})
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        cfg.validate()
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before validating")
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        generate(cfg)

@@ -1,20 +1,27 @@
 """The array-based generator against scalar reference loops.
 
-``_build_service`` computes each subscriber's months as arrays and
-``_assemble`` carries billing balances over (account, month) grids. The
-references below redo that arithmetic one month and one account at a
-time, with the same operands in the same order, and must agree exactly.
-Unlike the golden digests, this holds on every numpy version.
+``_draw`` makes every subscriber's draws and ``_derive`` computes the
+derived columns (profile dates and picks, monthly volumes, payments and
+requests) over a whole segment at once; ``_build_service`` runs both on a
+batch of one subscriber. ``_assemble`` carries billing balances over
+(account, month) grids. The references below redraw each stream with
+``rng.choice`` and ``Month`` arithmetic and redo the arithmetic one
+subscriber, one month and one account at a time, with the same operands
+in the same order, and must agree exactly. Unlike the golden digests, this
+holds on every numpy version.
 """
+
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
-from churnforge import GeneratorConfig
+from churnforge import GeneratorConfig, generate
 from churnforge.data import TelcoDataset
 from churnforge.generator import (_LOCATION_W, _LOCATIONS, _PRICES, _REQUEST_CODES,
-                                  _assemble, _build_service, _owners)
-from churnforge.months import month_range
+                                  _assemble, _build_service, _choose, _derive, _draw, _ids,
+                                  _owners)
+from churnforge.months import Month, month_range
 
 _RAMP = {0: 0.95, 1: 0.9, 2: 0.6, 3: 0.3}
 
@@ -137,9 +144,88 @@ def test_account_grids_match_scalar_reference():
     blocks = [_build_service(cfg, "consumer", i, term, back) for i in range(400)]
     months = month_range(cfg.months_start, cfg.months_end)
     ds = TelcoDataset()
-    _assemble(ds, "consumer", blocks, months)
+    _assemble(ds, _derive(cfg, "consumer", _draw(cfg, "consumer", range(400), term, back)))
     billing, usage = _stitch_reference(blocks, months)
     assert [(r.billing_id, r.month, r.current_bill_amt, r.last_bill_amt, r.amt_2pay,
              r.outstanding, r.payment, r.credit_adj) for r in ds.billing] == billing
     assert [(r.billing_id, r.month, r.download_mb, r.upload_mb, r.voice_minutes,
              r.voice_calls) for r in ds.usage] == usage
+
+
+def _churn_sets(cfg, segment, n):
+    """The churner and comeback index sets, drawn as ``generate`` draws them."""
+    pick = np.random.default_rng((cfg.seed, 0 if segment == "consumer" else 1, 0xC4A11))
+    term = _choose(pick, n, int(round(n * cfg.churn_rate)))
+    back = _choose(pick, len(term), int(round(len(term) * cfg.winback_rate)))
+    churners = sorted(term)
+    return term, frozenset(churners[i] for i in back)
+
+
+def _profile_reference(cfg, segment, idx, term_set, back_set):
+    """Redraw one record's profile fields with ``rng.choice`` and Month
+    arithmetic, one draw at a time."""
+    rng = np.random.default_rng((cfg.seed, 0 if segment == "consumer" else 1, idx))
+    cov_start, n_cov = cfg.months_start, cfg.months_end.diff(cfg.months_start) + 1
+    service_type = ("voice_broadband" if segment == "consumer"
+                    else ("voice" if idx % 2 == 0 else "voice_broadband"))
+    if idx in term_set or rng.random() < 0.88:
+        act_month = cov_start.plus(-int(rng.integers(1, 61)))
+    else:
+        act_month = cov_start.plus(int(rng.integers(0, n_cov - 1)))
+    activation = act_month.day(int(rng.integers(1, 29)))
+    since = act_month.plus(-int(rng.integers(0, 37))).day(activation.day)
+    profile = dict(
+        segment=segment, service_type=service_type,
+        activation_date=activation, customer_since=since,
+        contract_period=int(rng.choice([0, 12, 24, 36], p=[0.25, 0.35, 0.30, 0.10])),
+        price_start=int(rng.choice(_PRICES[(segment, service_type)])),
+        t_location=str(rng.choice(_LOCATIONS, p=_LOCATION_W)),
+        hsbb_area=int(rng.random() < 0.45), termination_date=None, comeback_date=None)
+    if idx in term_set:
+        term_month = cov_start.plus(3 + int(rng.integers(0, n_cov)))
+        profile["termination_date"] = term_month.day(int(rng.integers(1, 29)))
+        if idx in back_set:
+            comeback = term_month.plus(int(rng.integers(2, 7)))
+            profile["comeback_date"] = comeback.day(int(rng.integers(1, 29)))
+    return profile
+
+
+@pytest.mark.parametrize("start, end, churn_rate", [
+    (Month(2010, 10), Month(2011, 3), 0.9),  # coverage across a year boundary
+    (Month(2011, 1), Month(2011, 12), 0.3),
+])
+def test_profile_fields_match_scalar_reference(start, end, churn_rate):
+    cfg = GeneratorConfig(seed=13, n_consumers=150, n_smes=80, churn_rate=churn_rate,
+                          winback_rate=0.4, months_start=start, months_end=end)
+    records = {r.service_id: r for r in generate(cfg).subscribers}
+    comebacks = 0
+    for segment, n in (("consumer", 150), ("sme", 80)):
+        term, back = _churn_sets(cfg, segment, n)
+        for idx in range(n):
+            record = records[_ids(segment, *_owners(idx), idx)[2]]
+            ref = _profile_reference(cfg, segment, idx, term, back)
+            assert {k: getattr(record, k) for k in ref} == ref
+            comebacks += ref["comeback_date"] is not None
+    assert comebacks > 10
+
+
+def test_one_subscriber_path_equals_segment_path():
+    """``_build_service`` (a batch of one) gives each subscriber's row and
+    requests exactly as the whole-segment path in ``generate`` does."""
+    cfg = GeneratorConfig(seed=21, n_consumers=130, n_smes=70, churn_rate=0.4,
+                          winback_rate=0.5, months_start=Month(2010, 11),
+                          months_end=Month(2011, 8))
+    ds = generate(cfg)
+    records = {r.service_id: r for r in ds.subscribers}
+    got, want = defaultdict(list), defaultdict(list)
+    for q in ds.service_requests:
+        got[q.customer_id].append((q.request_date, q.request_code))
+    for segment, n in (("consumer", 130), ("sme", 70)):
+        term, back = _churn_sets(cfg, segment, n)
+        for idx in range(n):
+            one = _build_service(cfg, segment, idx, term, back)
+            assert one.record == records[one.record.service_id]
+            want[one.record.customer_id] += [(q.request_date, q.request_code)
+                                             for q in one.requests]
+    assert len(records) == 200 and sum(map(len, got.values())) > 100
+    assert {k: sorted(v) for k, v in want.items() if v} == {k: sorted(v) for k, v in got.items()}

@@ -8,10 +8,10 @@ is held a column at a time (``Table``); the record classes are its rows.
 
 from __future__ import annotations
 
+import array
 import csv
 import dataclasses
 import datetime as dt
-import functools
 import itertools
 import operator
 import os
@@ -255,10 +255,16 @@ SORT_KEYS = {  # the row order of each file
 }
 _DATES = {"activation_date", "customer_since", "termination_date", "comeback_date",
           "request_date"}
-# rows split into fields or formatted at a time: fewer than the collector's
-# first-generation threshold (700), so the per-row lists of a block are
-# freed before a collection would walk them
+# rows formatted at a time: fewer than the collector's first-generation
+# threshold (700), so the per-row lists of a block are freed before a
+# collection would walk them
 _BLOCK_ROWS = 512
+# a plain file is split into fields this many bytes (of whole lines) at a
+# time, which bounds the masks and offsets the split makes
+_SPLIT_BYTES = 1 << 20
+# widest text field gathered into a byte matrix; a column with a longer
+# one is decoded field by field
+_GATHER_BYTES = 64
 
 
 def _format(name: str, values) -> list[str]:
@@ -296,13 +302,120 @@ def write_tables(dataset: TelcoDataset, directory: str) -> None:
                 w.writerows(zip(*(_format(n, table.column(n)[block]) for n in table.names)))
 
 
-class _TableReader:
-    """One table file, converted a block of rows and a column at a time.
+def _plain_fields(raw: bytes):
+    """(header, buffer, row widths, separator offsets) of a file with no
+    quote, CR or NUL, split as ``csv.reader`` splits it: on commas and LFs,
+    an empty line being a row of no fields. Field k of the rows spans
+    ``bounds[k] + 1 .. bounds[k + 1]``. None when a line is longer than
+    ``csv.reader``'s field limit, which only it can apply."""
+    if raw and not raw.endswith(b"\n"):
+        raw += b"\n"
+    first = raw.find(b"\n") + 1
+    header = raw[:first - 1].decode().split(",") if first > 1 else [] if raw else None
+    buf = np.frombuffer(raw, np.uint8)
+    offset = np.int32 if len(raw) < 2**31 else np.int64
+    widths, bounds = [np.zeros(0, offset)], [np.array([first - 1], offset)]
+    start = first
+    while start < len(raw):
+        stop = raw.find(b"\n", start + _SPLIT_BYTES) + 1 or len(raw)
+        part = buf[start:stop]
+        seps = np.flatnonzero((part == 44) | (part == 10)).astype(offset)
+        lf = np.flatnonzero(part[seps] == 10)  # each line's LF, as an index into seps
+        lengths = np.diff(seps[lf], prepend=-1) - 1
+        if lengths.max() > csv.field_size_limit():
+            return None
+        widths.append(np.where(lengths > 0, np.diff(lf, prepend=-1), 0))
+        bounds.append(seps + start)
+        start = stop
+    return header, buf, np.concatenate(widths), np.concatenate(bounds)
 
-    Checks run in the order a row-by-row reader applies them within a row.
-    Once a check fails on some row, later checks look only at the rows
-    before it and no further block is read, so the error raised names the
-    defect a row-by-row reader would have met first, with file and line.
+
+def _csv_fields(path: str):
+    """The same for any file, read by ``csv.reader``: each field is packed
+    into the buffer followed by one comma."""
+    buf, widths, lengths = bytearray(), array.array("q"), array.array("q")
+    with open(path, encoding="utf-8", newline="") as f:
+        rows = csv.reader(f)
+        header = next(rows, None)
+        for row in rows:
+            widths.append(len(row))
+            if row:
+                fields = [field.encode() for field in row]
+                lengths.extend(map(len, fields))
+                buf += b",".join(fields) + b","
+    bounds = np.cumsum(np.concatenate([[-1], np.asarray(lengths) + 1]))
+    return (header, np.frombuffer(buf, np.uint8), np.asarray(widths),
+            bounds.astype(np.int32 if len(buf) < 2**31 else np.int64))
+
+
+_POW10 = np.array([float(10**k) for k in range(16)])
+
+
+def _numbers(cells: np.ndarray, lengths: np.ndarray, point: bool):
+    """(values, canonical) of a column's cells (position x row bytes).
+    Canonical cells are ints written as ``str`` writes one of at most 18
+    digits ("0", or an optional "-" and no leading zero) or, with
+    ``point``, floats of at most 15 digits written
+    ``(0|[1-9][0-9]*)\\.[0-9]+``. Those convert exactly: a float is its
+    digits m < 2**53 over 10**k, one correctly rounded division, which is
+    what ``float`` gives."""
+    width, n = cells.shape
+    digit = cells - np.uint8(48)
+    is_digit = (digit < 10) & (np.arange(width)[:, None] < lengths)
+    mantissa = np.zeros(n, np.int64)
+    for p in range(width):
+        mantissa = np.where(is_digit[p], mantissa * 10 + digit[p], mantissa)
+    n_digits = is_digit.sum(axis=0)
+    lead_zero = (cells[0] == 48) & (n_digits > 1)
+    if point:
+        dot = np.argmax(cells == 46, axis=0)
+        frac = lengths - 1 - dot
+        ok = ((cells[dot, np.arange(n)] == 46) & (n_digits == lengths - 1) & (dot > 0)
+              & (frac > 0) & ~(lead_zero & (dot > 1)))
+        return mantissa / _POW10[np.where(ok, frac, 0)], ok
+    minus = cells[0] == 45
+    ok = ((n_digits == lengths - minus) & (n_digits > 0) & (n_digits <= 18) & ~lead_zero
+          & ~(minus & (cells[1] == 48)))
+    return np.where(minus, -mantissa, mantissa), ok
+
+
+def _months(cells: np.ndarray, lengths: np.ndarray):
+    """(month indexes, canonical) of a column's cells written ``YYYY-MM``."""
+    width, n = cells.shape
+    if width < 7:
+        return np.zeros(n, np.int64), np.zeros(n, dtype=bool)
+    digit = cells[[0, 1, 2, 3, 5, 6]] - np.uint8(48)
+    y0, y1, y2, y3, m0, m1 = digit.astype(np.int64)
+    month = m0 * 10 + m1
+    ok = ((lengths == 7) & (cells[4] == 45) & (digit < 10).all(axis=0)
+          & (month >= 1) & (month <= 12))
+    return (y0 * 1000 + y1 * 100 + y2 * 10 + y3) * 12 + month - 1, ok
+
+
+def _month_index(text: str) -> int:
+    return Month.parse(text).index
+
+
+# parse function -> (converter of canonical cells, widest canonical cell);
+# a longer cell is not canonical, which keeps a float to 15 digits
+_CANONICAL = {
+    int: (lambda cells, lengths: _numbers(cells, lengths, False), 19),
+    float: (lambda cells, lengths: _numbers(cells, lengths, True), 16),
+    _month_index: (_months, 7),
+}
+
+
+class _TableReader:
+    """One table file as a byte buffer plus the span of every field,
+    converted a whole column at a time.
+
+    A plain file (no quote, CR or NUL) is split with numpy; any other is
+    read by ``csv.reader``, whose fields fill the same kind of buffer. A
+    check records a defect only at a row before every defect found so far,
+    and later checks look only at the rows before it. Checks run in the
+    order a row-by-row reader applies them within a row, so the error
+    raised names the defect that reader would have met first, with file
+    and line.
     """
 
     def __init__(self, directory: str, name: str, record: type):
@@ -311,74 +424,104 @@ class _TableReader:
             raise DatasetFormatError(f"missing table file: {self.path}")
         self.record = record
         self.names = [f.name for f in dataclasses.fields(record)]
-        self.start = 0  # table row of the block's first row
-        self.n = 0  # rows of the block still to check
-        self.columns: dict[str, list[str]] = {}
-        self.kept: dict[str, list] = {n: [] for n in self.names}  # converted blocks
-        self.error: DatasetFormatError | None = None
-
-    def blocks(self):
-        """Yield once per block of rows, with its raw fields in ``columns``;
-        raise the first defect after the block holding it."""
+        with open(self.path, "rb") as f:
+            raw = f.read()
+        fields = None
+        if not (b'"' in raw or b"\r" in raw or b"\0" in raw):
+            if not raw.isascii():
+                raw.decode("utf-8")  # fail on bytes that are not UTF-8, as a text reader does
+            fields = _plain_fields(raw)
+        header, self.buf, widths, bounds = fields or _csv_fields(self.path)
+        if header != self.names:
+            raise DatasetFormatError(f"{self.path}:1: bad header {header!r}")
         width = len(self.names)
-        with open(self.path, encoding="utf-8", newline="") as f:
-            reader = csv.reader(f)
-            header = next(reader, None)
-            if header != self.names:
-                raise DatasetFormatError(f"{self.path}:1: bad header {header!r}")
-            for chunk in iter(lambda: list(itertools.islice(reader, _BLOCK_ROWS)), []):
-                widths = list(map(len, chunk))
-                self.n = len(chunk)
-                if widths.count(width) < self.n:
-                    i = next(i for i, w in enumerate(widths) if w != width)
-                    self.fail(i, f"expected {width} fields, got {widths[i]}")
-                fields = list(itertools.chain.from_iterable(chunk[:self.n]))
-                self.columns = {c: fields[j::width] for j, c in enumerate(self.names)}
-                yield
-                if self.error is not None:
-                    raise self.error
-                self.start += self.n
+        self.n = len(widths)  # rows still to check
+        self.error: DatasetFormatError | None = None
+        self.check(widths == width, lambda i: f"expected {width} fields, got {widths[i]}")
+        self.bounds = bounds[:self.n * width + 1]  # the fields of the rows of the right width
 
     def fail(self, i: int, message: str) -> None:
-        """Record a defect in row ``i`` of the block; check no row from it on."""
+        """Record a defect in row ``i``; check no row from it on."""
         self.n = i
-        self.error = DatasetFormatError(f"{self.path}:{self.start + i + 2}: {message}")
-
-    def column(self, name: str) -> list[str]:
-        return self.columns[name][:self.n]
-
-    def parse(self, name: str, parse):
-        """The block's ``name`` values converted by ``parse`` (an array for
-        numeric fields); the first value that does not convert fails its row."""
-        raw = self.column(name)
-        try:
-            return _column(name, list(map(parse, raw)))
-        except (ValueError, TypeError, OverflowError):
-            for i, text in enumerate(raw):
-                try:
-                    _column(name, [parse(text)])
-                except (ValueError, TypeError, OverflowError):
-                    self.fail(i, f"malformed {name}: {text!r}")
-                    return _column(name, list(map(parse, raw[:i])))
+        self.error = DatasetFormatError(f"{self.path}:{i + 2}: {message}")
 
     def check(self, ok, message) -> None:
         """Fail the first checked row whose ``ok`` flag is false: ``message(row)``."""
-        ok = np.asarray(ok[:self.n], dtype=bool)
-        if not ok.all():
-            i = int(np.argmin(ok))
-            self.fail(i, message(i))
+        bad = np.flatnonzero(~np.asarray(ok[:self.n], dtype=bool))
+        if len(bad):
+            self.fail(int(bad[0]), message(int(bad[0])))
 
-    def keep(self, values: dict) -> None:
-        """Keep the block's checked rows: converted ``values``, raw text otherwise."""
-        for name in self.names:
-            self.kept[name].append(values[name][:self.n] if name in values
-                                   else self.column(name))
+    def text(self, i: int, j: int) -> str:
+        k = i * len(self.names) + j
+        return self.buf[self.bounds[k] + 1:self.bounds[k + 1]].tobytes().decode()
 
-    def table(self) -> Table:
-        return Table(self.record, columns={
-            n: np.concatenate(parts) if parts and n in _ARRAYS
-            else list(itertools.chain.from_iterable(parts))
-            for n, parts in self.kept.items()})
+    def _cells(self, j: int, cap: int):
+        """Column ``j``'s fields as a position x row byte matrix, zero past
+        each field's end (positions: the longest field's, at most ``cap``,
+        at least 2), and the fields' lengths."""
+        width = len(self.names)
+        starts = self.bounds[j:-1:width] + 1
+        lengths = self.bounds[j + 1::width] - starts
+        cells = np.empty((min(cap, max(int(lengths.max(initial=0)), 2)), len(starts)), np.uint8)
+        for p, row in enumerate(cells):
+            self.buf.take(starts + p, out=row, mode="clip")
+        cells *= np.arange(len(cells))[:, None] < lengths
+        return cells, lengths
+
+    def distinct(self, name: str) -> tuple[list[str], np.ndarray]:
+        """Column ``name``'s distinct texts, and each row's index into them."""
+        j = self.names.index(name)
+        cells, lengths = self._cells(j, _GATHER_BYTES + 1)
+        n = len(lengths)
+        if n and lengths.max() > _GATHER_BYTES:
+            index: dict[str, int] = {}
+            codes = [index.setdefault(self.text(i, j), len(index)) for i in range(n)]
+            return list(index), np.array(codes, dtype=np.intp)
+        rows = np.zeros((n, len(cells) + 1), dtype=np.uint8)
+        rows[:, :-1] = cells.T
+        rows[np.arange(n), lengths] = 1  # an end mark: numpy drops trailing NULs
+        rows = rows.view(f"S{len(cells) + 1}").ravel()
+        head = np.ones(n, dtype=bool)  # where a run of equal texts starts
+        head[1:] = rows[1:] != rows[:-1]
+        texts, codes = np.unique(rows[head], return_inverse=True)
+        return [t[:-1].decode() for t in texts.tolist()], codes[np.cumsum(head) - 1]
+
+    def strings(self, name: str, parse=None) -> list:
+        """Column ``name``'s texts, each distinct one converted by ``parse``
+        (if given) once; the first row whose text does not convert fails."""
+        texts, codes = self.distinct(name)
+        if parse is not None:
+            ok, values = np.ones(len(texts), dtype=bool), []
+            for k, text in enumerate(texts):
+                try:
+                    values.append(parse(text))
+                except (ValueError, TypeError, OverflowError):
+                    ok[k] = False
+                    values.append(None)
+            self.check(ok[codes], lambda i: f"malformed {name}: {texts[codes[i]]!r}")
+            texts = values
+        return np.array(texts, dtype=object)[codes].tolist()
+
+    def parse(self, name: str, parse) -> np.ndarray:
+        """Column ``name`` as an array: canonical cells converted with numpy,
+        every other cell decoded and converted by ``parse``; the first that
+        does not convert (or fit the array) fails its row."""
+        j = self.names.index(name)
+        convert, cap = _CANONICAL[parse]
+        values, ok = convert(*self._cells(j, cap))
+        for i in np.flatnonzero(~ok[:self.n]).tolist():
+            text = self.text(i, j)
+            try:
+                values[i] = parse(text)
+            except (ValueError, TypeError, OverflowError):
+                self.fail(i, f"malformed {name}: {text!r}")
+                break
+        return values
+
+    def table(self, values: dict) -> Table:
+        if self.error is not None:
+            raise self.error
+        return Table(self.record, columns=values)
 
 
 def read_tables(directory: str) -> TelcoDataset:
@@ -386,59 +529,50 @@ def read_tables(directory: str) -> TelcoDataset:
 
     Defective rows raise DatasetFormatError naming the file and line.
     """
-    date = functools.cache(dt.date.fromisoformat)  # dates and months repeat: parse each once
+    date = dt.date.fromisoformat
     optional_date = lambda text: date(text) if text else None  # noqa: E731
-    month_index = functools.cache(lambda text: Month.parse(text).index)
     tables = {}
 
     r = _TableReader(directory, "subscribers", SubscriberRecord)
-    for _ in r.blocks():
-        for name, allowed in (("segment", SEGMENTS), ("service_type", SERVICE_TYPES)):
-            raw = r.column(name)
-            r.check([v in allowed for v in raw], lambda i: f"unknown {name} {raw[i]!r}")
-        values = {c: r.parse(c, parse) for c, parse in (
-            ("activation_date", date), ("customer_since", date),
-            ("contract_period", int), ("price_start", int), ("hsbb_area", int),
-            ("termination_date", optional_date), ("comeback_date", optional_date))}
-        for name in ("contract_period", "price_start"):
-            col = values[name]
-            r.check(col >= 0, lambda i: f"negative {name} {col[i]}")
-        r.keep(values)
-    tables["subscribers"] = r.table()
+    values = {c: r.strings(c) for c in ("customer_id", "billing_id", "service_id", "t_location")}
+    for name, allowed in (("segment", SEGMENTS), ("service_type", SERVICE_TYPES)):
+        raw = values[name] = r.strings(name)
+        r.check([v in allowed for v in raw], lambda i: f"unknown {name} {raw[i]!r}")
+    for c, parse in (("activation_date", date), ("customer_since", date),
+                     ("contract_period", int), ("price_start", int), ("hsbb_area", int),
+                     ("termination_date", optional_date), ("comeback_date", optional_date)):
+        values[c] = r.parse(c, parse) if parse is int else r.strings(c, parse)
+    for name in ("contract_period", "price_start"):
+        col = values[name]
+        r.check(col >= 0, lambda i: f"negative {name} {col[i]}")
+    tables["subscribers"] = r.table(values)
 
     for name, record, parse in (("billing", BillingMonthRecord, int),
                                 ("usage", UsageMonthRecord, float)):
-        r, seen = _TableReader(directory, name, record), set()
-        key = "{}\x1f{}".format  # (month index, billing_id): the month text has no \x1f
-        for _ in r.blocks():
-            months = r.parse("month", month_index)
-            ids = r.column("billing_id")
-            keys = list(map(key, months.tolist(), ids))
-            size = len(seen)
-            seen.update(keys)
-            if len(seen) < size + len(keys):  # a key repeats: find its first row
-                seen = set(map(key, itertools.chain.from_iterable(r.kept["month"]),
-                               itertools.chain.from_iterable(r.kept["billing_id"])))
-                r.check([not (k in seen or seen.add(k)) for k in keys],
-                        lambda i: f"duplicate (billing_id, month) {ids[i]}/"
-                                  f"{Month.from_index(int(months[i]))}")
-            values = {"month": months}
-            values.update((c, r.parse(c, int if c == "voice_calls" else parse))
-                          for c in r.names[2:])
-            if name == "billing":
-                amounts = np.array([values[c][:r.n] for c in r.names[2:6]])
-                r.check((amounts >= 0).all(axis=0), lambda i: "negative bill amount")
-            else:
-                for c in r.names[2:]:
-                    a = values[c][:r.n]
-                    r.check((a >= 0) & (a < np.inf),  # false for NaN too
-                            lambda i: f"{c} must be finite and non-negative, "
-                                      f"got {a[i].item()!r}")
-            r.keep(values)
-        tables[name] = r.table()
+        r = _TableReader(directory, name, record)
+        months = r.parse("month", _month_index)
+        ids, codes = r.distinct("billing_id")
+        order = np.lexsort((months[:r.n], codes[:r.n]))  # stable: earlier rows first
+        repeat = np.zeros(r.n, dtype=bool)
+        repeat[order[1:][(codes[order[1:]] == codes[order[:-1]])
+                         & (months[order[1:]] == months[order[:-1]])]] = True
+        r.check(~repeat, lambda i: f"duplicate (billing_id, month) {ids[codes[i]]}/"
+                                   f"{Month.from_index(int(months[i]))}")
+        values = {"billing_id": np.array(ids, dtype=object)[codes].tolist(), "month": months}
+        values.update((c, r.parse(c, int if c == "voice_calls" else parse))
+                      for c in r.names[2:])
+        if name == "billing":
+            amounts = np.array([values[c] for c in r.names[2:6]])
+            r.check((amounts >= 0).all(axis=0), lambda i: "negative bill amount")
+        else:
+            for c in r.names[2:]:
+                a = values[c]
+                r.check((a >= 0) & (a < np.inf),  # false for NaN too
+                        lambda i: f"{c} must be finite and non-negative, got {a[i].item()!r}")
+        tables[name] = r.table(values)
 
     r = _TableReader(directory, "service_requests", ServiceRequestRecord)
-    for _ in r.blocks():
-        r.keep({"request_date": r.parse("request_date", date)})
-    tables["service_requests"] = r.table()
+    tables["service_requests"] = r.table({
+        "customer_id": r.strings("customer_id"), "request_date": r.strings("request_date", date),
+        "request_code": r.strings("request_code")})
     return TelcoDataset(**tables)

@@ -479,7 +479,8 @@ def write_matrix(matrix: FeatureMatrix, path: str) -> None:
 
 def read_matrix(path: str) -> FeatureMatrix:
     """Read a flat feature CSV; column kinds are inferred (a column is
-    numeric iff every non-missing entry parses as a float)."""
+    numeric iff every non-missing entry parses as a float). A ``label``
+    column holds 0 or 1."""
     with open(path, encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -491,10 +492,12 @@ def read_matrix(path: str) -> FeatureMatrix:
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            if has_label and row[-1] not in ("0", "1"):
+                raise ValueError(f"{path}:{lineno}: malformed label {row[-1]!r}")
             raw_rows.append(row)
 
     billing_ids = [r[0] for r in raw_rows]
-    labels = np.array([int(r[-1]) for r in raw_rows], dtype=np.int8) if has_label else None
+    labels = np.array([r[-1] == "1" for r in raw_rows], dtype=np.int8) if has_label else None
     columns: dict[str, np.ndarray] = {}
     kinds: dict[str, str] = {}
     for j, name in enumerate(names, start=1):

@@ -165,27 +165,42 @@ def parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
+def _month_text(raw: str) -> str:
+    """``raw``, once it parses as a month."""
+    Month.parse(raw)
+    return raw
+
+
+def _config_value(key: str, parse, raw: str):
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise ValueError(f"config key {key}: {exc}") from None
+
+
 def build_config(file_values: dict[str, str], **overrides) -> PipelineConfig:
+    """A PipelineConfig from config-file values; a value that does not
+    parse fails with one ValueError naming its key."""
     cfg = PipelineConfig()
     scalar = {
         "data_dir": str, "out_dir": str, "task": int, "seed": int, "k_folds": int,
         "top_n": int, "final_learner": str, "n_consumers": int, "n_smes": int,
         "churn_rate": float, "winback_rate": float, "signal_strength": float,
-        "months_start": str, "months_end": str,
+        "months_start": _month_text, "months_end": _month_text,
     }
     renames = {"task": "task_id"}
     for key, raw in file_values.items():
         if key == "learners":
             cfg.learners = [part.strip() for part in raw.split(",") if part.strip()]
         elif key in scalar:
-            setattr(cfg, renames.get(key, key), scalar[key](raw))
+            setattr(cfg, renames.get(key, key), _config_value(key, scalar[key], raw))
         elif "." in key:
             algo, param = key.split(".", 1)
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown learner in config key {key!r}")
             value: object = raw
             if param in _INT_SPEC_KEYS:
-                value = int(raw)
+                value = _config_value(key, int, raw)
             elif param == "bootstrap":
                 value = raw.lower() in ("1", "true", "yes")
             cfg.learner_overrides.setdefault(algo, {})[param] = value

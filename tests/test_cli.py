@@ -178,3 +178,17 @@ def test_negative_seed_fails_naming_the_field(tmp_path, capsys):
     assert main(["generate", "--config", str(cfg), "--seed", "-1"]) == 1
     assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
     assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("line,message", [
+    ("n_consumers = 2.5", "config key n_consumers: invalid literal for int() with base 10: '2.5'"),
+    ("months_start = 2011-13", "config key months_start: month out of range: 13"),
+    ("forest.n_trees = many", "config key forest.n_trees: invalid literal for int() with "
+                              "base 10: 'many'"),
+])
+def test_bad_config_value_names_its_key(tmp_path, capsys, line, message):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"data_dir = {tmp_path / 'data'}\n{line}\n", encoding="utf-8")
+    assert main(["generate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "data").exists()

@@ -335,3 +335,11 @@ def test_matrix_csv_round_trip_unlabeled(tmp_path):
     write_matrix(m, path)
     again = read_matrix(path)
     assert again == m and again.labels is None
+
+
+@pytest.mark.parametrize("label", ["x", "2"])
+def test_matrix_label_must_be_0_or_1(tmp_path, label):
+    path = tmp_path / "m.csv"
+    path.write_text(f"billing_id,x,label\nB1,1.0,0\nB2,2.0,{label}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"m\.csv:3: malformed label '{label}'$"):
+        read_matrix(str(path))

@@ -1,16 +1,22 @@
 """Table files: golden digests of generated tables and extracted matrices,
 and the ingest error paths of ``read_tables``."""
 
+import csv
+import dataclasses
+import datetime as dt
 import hashlib
+import math
 import os
+import random
 import re
 
 import numpy as np
 import pytest
 
-from churnforge import (DatasetFormatError, GeneratorConfig, data, generate, read_tables,
-                        write_tables)
+from churnforge import (DatasetFormatError, GeneratorConfig, TelcoDataset, data, generate,
+                        read_tables, write_tables)
 from churnforge.features import write_matrix
+from churnforge.months import Month
 from churnforge.tasks import TASKS, _extract, filter_dataset
 
 # sha256 of each write_tables CSV. numpy does not promise identical Generator
@@ -175,6 +181,11 @@ def test_defective_row_names_file_and_line(tmp_path, table, rows, where, what):
                  "B1,2011-04,1,1,1,0,1,0\n"], "billing.csv:4", "expected 8 fields"),
     ("usage", ["B1,2011-04,10.0,1.0,5.0,-2\n", "B1,2011-05,x,1.0,5.0,2\n"],
      "usage.csv:3", "voice_calls must be"),
+    # ids are compared whole: a long one, and one that differs by a trailing NUL
+    ("billing", [f"{'B' * 100},2011-04,1,1,1,0,1,0\n"] * 2,
+     "billing.csv:4", f"duplicate (billing_id, month) {'B' * 100}/2011-04"),
+    ("billing", ["B1\0,2011-03,1,1,1,0,1,0\n"] * 2,
+     "billing.csv:4", "duplicate (billing_id, month) B1\0/2011-03"),
     # within one line, parsing comes before range checks, as a row reader does
     ("usage", ["B1,2011-04,-1.0,1.0,5.0,x\n"], "usage.csv:3", "malformed voice_calls"),
     ("subscribers", [SUBSCRIBER.replace("consumer", "corporate").replace("2010-05-03", "x")],
@@ -222,6 +233,205 @@ def test_crlf_defect_names_its_line(tmp_path):
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     with pytest.raises(DatasetFormatError, match=r"usage\.csv:4: malformed upload_mb: 'x'"):
         read_tables(str(tmp_path))
+
+
+# ---------------------------------------------------------------------------
+# differential check: read_tables against a row-by-row reader
+# ---------------------------------------------------------------------------
+
+def _reference_read(directory) -> TelcoDataset:
+    """What ``read_tables`` must do, one row at a time: ``csv.reader`` rows,
+    each row's checks in order, the first defect raised with file and line."""
+    date = dt.date.fromisoformat
+    optional_date = lambda text: date(text) if text else None  # noqa: E731
+
+    def int64(value):
+        if not -2**63 <= value < 2**63:
+            raise OverflowError(value)
+        return value
+
+    parsers = {"int": lambda text: int64(int(text)), "float": float, "date": date,
+               "optional_date": optional_date,
+               "month": lambda text: Month.from_index(int64(Month.parse(text).index))}
+    tables = {}
+    for name, record in data.RECORDS.items():
+        path = os.path.join(directory, data.FILENAMES[name])
+        names = [f.name for f in dataclasses.fields(record)]
+        rows, seen = [], set()
+        with open(path, encoding="utf-8", newline="") as f:
+            reader = csv.reader(f)
+            header = next(reader, None)
+            if header != names:
+                raise DatasetFormatError(f"{path}:1: bad header {header!r}")
+            for line, row in enumerate(reader, start=2):
+                def fail(message):
+                    raise DatasetFormatError(f"{path}:{line}: {message}")
+
+                def parse(column, kind):
+                    try:
+                        values[column] = parsers[kind](values[column])
+                    except (ValueError, TypeError, OverflowError):
+                        fail(f"malformed {column}: {values[column]!r}")
+
+                if len(row) != len(names):
+                    fail(f"expected {len(names)} fields, got {len(row)}")
+                values = dict(zip(names, row))
+                if name == "subscribers":
+                    for column, allowed in (("segment", data.SEGMENTS),
+                                            ("service_type", data.SERVICE_TYPES)):
+                        if values[column] not in allowed:
+                            fail(f"unknown {column} {values[column]!r}")
+                    for column, kind in (("activation_date", "date"), ("customer_since", "date"),
+                                         ("contract_period", "int"), ("price_start", "int"),
+                                         ("hsbb_area", "int"),
+                                         ("termination_date", "optional_date"),
+                                         ("comeback_date", "optional_date")):
+                        parse(column, kind)
+                    for column in ("contract_period", "price_start"):
+                        if values[column] < 0:
+                            fail(f"negative {column} {values[column]}")
+                elif name in ("billing", "usage"):
+                    parse("month", "month")
+                    key = (values["billing_id"], values["month"])
+                    if key in seen:
+                        fail(f"duplicate (billing_id, month) {key[0]}/{key[1]}")
+                    seen.add(key)
+                    for column in names[2:]:
+                        parse(column, "float" if name == "usage" and column != "voice_calls"
+                              else "int")
+                    if name == "billing" and any(values[c] < 0 for c in names[2:6]):
+                        fail("negative bill amount")
+                    for column in names[2:] if name == "usage" else ():
+                        if not 0 <= values[column] < math.inf:
+                            fail(f"{column} must be finite and non-negative, "
+                                 f"got {values[column]!r}")
+                else:
+                    parse("request_date", "date")
+                rows.append(record(**values))
+        tables[name] = rows
+    return TelcoDataset(**tables)
+
+
+def _read_both(directory):
+    """(read_tables result or its error message, the same from the reference)."""
+    results = []
+    for read in (read_tables, _reference_read):
+        try:
+            results.append(read(str(directory)))
+        except DatasetFormatError as exc:
+            results.append(str(exc))
+    return results
+
+
+# one of each defect kind of the parametrised lists above:
+# (table, columns to pick from, new text); "width" kinds reshape the line
+AMOUNTS = ["current_bill_amt", "last_bill_amt", "amt_2pay", "outstanding", "payment",
+           "credit_adj"]
+VOLUMES = ["download_mb", "upload_mb", "voice_minutes"]
+DEFECTS = [
+    ("billing", ["month"], "2011-13"), ("billing", ["month"], "2011/04"),
+    ("billing", AMOUNTS, "49.5"), ("billing", AMOUNTS, "1e3"), ("billing", AMOUNTS, "x"),
+    ("billing", AMOUNTS[:4], "-1"), ("billing", AMOUNTS, "99999999999999999999"),
+    ("billing", None, "duplicate"), ("usage", None, "duplicate"),
+    ("subscribers", ["activation_date", "customer_since"], "2010-02-30"),
+    ("subscribers", ["termination_date", "comeback_date"], "2011-13-01"),
+    ("subscribers", ["segment"], "corporate"), ("subscribers", ["service_type"], "fibre"),
+    ("subscribers", ["contract_period", "price_start"], "-12"),
+    ("subscribers", ["hsbb_area"], "1.0"),
+    ("usage", VOLUMES, "inf"), ("usage", VOLUMES, "nan"), ("usage", VOLUMES, "-1.0"),
+    ("usage", VOLUMES, "x"), ("usage", ["voice_calls"], "-2"), ("usage", ["voice_calls"], "2.0"),
+    ("service_requests", ["request_date"], "05/03/2011"),
+    (None, None, "fewer fields"), (None, None, "more fields"), (None, None, "blank line"),
+]
+
+
+@pytest.fixture(scope="module")
+def small_tables(tmp_path_factory):
+    """The lines of each file of a few small generated datasets."""
+    datasets = []
+    for seed in range(3):
+        directory = tmp_path_factory.mktemp(f"tables{seed}")
+        write_tables(generate(GeneratorConfig(seed=seed, n_consumers=40 + 20 * seed, n_smes=8,
+                                              churn_rate=0.3, winback_rate=0.4)),
+                     str(directory))
+        datasets.append({name: (directory / name).read_text(encoding="utf-8").splitlines()
+                         for name in HEADERS})
+    return datasets
+
+
+def _inject(files, defect, rng, i=None) -> None:
+    """Put ``defect`` into data line ``i`` (default: a random one) of
+    ``files``, in a random column of those it names."""
+    table, columns, text = defect
+    name = f"{table or rng.choice(['subscribers', 'billing', 'usage', 'service_requests'])}.csv"
+    lines = files[name]
+    header = lines[0].split(",")
+    i = i or rng.randrange(1, len(lines))
+    fields = lines[i].split(",")
+    if text == "duplicate":
+        k = rng.randrange(1, i) if i > 1 else 2
+        fields[:2] = lines[k].split(",")[:2]
+    elif text == "fewer fields":
+        fields.pop(rng.randrange(len(fields)))
+    elif text == "more fields":
+        fields.insert(rng.randrange(len(fields) + 1), "X")
+    elif text == "blank line":
+        fields = []
+    else:
+        fields[header.index(rng.choice(columns))] = text
+    lines[i] = ",".join(fields)
+
+
+def _write_files(directory, files, rng) -> None:
+    """Write the files plain, quoted and/or with CRLF line ends."""
+    for name, lines in files.items():
+        if rng.random() < 0.4:
+            lines = [",".join(f'"{field}"' for field in line.split(",")) if line else line
+                     for line in lines]
+        end = "\r\n" if rng.random() < 0.4 else "\n"
+        (directory / name).write_bytes("".join(line + end for line in lines).encode())
+
+
+@pytest.mark.parametrize("case", range(60))
+def test_first_defect_matches_a_row_by_row_reader(small_tables, tmp_path, case):
+    rng = random.Random(case)
+    files = {name: list(lines) for name, lines in rng.choice(small_tables).items()}
+    kinds = [DEFECTS[case % len(DEFECTS)]] + rng.sample(DEFECTS, rng.randrange(3))
+    for defect in kinds:
+        _inject(files, defect, rng)
+    _write_files(tmp_path, files, rng)
+    ours, reference = _read_both(tmp_path)
+    assert isinstance(reference, str)
+    assert ours == reference
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_valid_uncanonical_cells_read_as_int_and_float_do(small_tables, tmp_path, monkeypatch,
+                                                          case):
+    """Cells ``str(int)``/``repr(float)`` would not write still read as
+    ``int``/``float`` read them, decoded one at a time."""
+    rng = random.Random(case)
+    files = {name: list(lines) for name, lines in small_tables[case % 3].items()}
+    injected = []
+    for table, columns, texts in (("billing", AMOUNTS, ["007", "+5", " 5", "1_000",
+                                                        "1234567890123456789"]),
+                                  ("subscribers", ["price_start"], ["007", "+5", " 5"]),
+                                  ("usage", VOLUMES, ["1E3", ".5", "5.", "-0.0",
+                                                      "0.1234567890123456789"])):
+        lines = rng.sample(range(1, len(files[f"{table}.csv"])), len(texts))
+        for text, i in zip(texts, lines):
+            _inject(files, (table, columns, text), rng, i)
+            injected.append(text)
+    _write_files(tmp_path, files, rng)
+    decoded = []
+    text_of = data._TableReader.text
+    monkeypatch.setattr(data._TableReader, "text",
+                        lambda self, i, j: decoded.append(text_of(self, i, j)) or decoded[-1])
+    ours, reference = _read_both(tmp_path)
+    assert isinstance(ours, TelcoDataset) and ours == reference
+    assert sorted(decoded) == sorted(injected)
+    signs = [math.copysign(1.0, v) for c in VOLUMES for v in ours.usage.column(c)]
+    assert signs == [math.copysign(1.0, v) for c in VOLUMES for v in reference.usage.column(c)]
 
 
 def test_cli_extract_builds_its_join_index_once(tmp_path, monkeypatch):

@@ -1,8 +1,10 @@
 """The classifier family behind the single learner contract.
 
 Every algorithm trains off the same labeled matrix and answers
-score_row/predict_row and score_matrix. The alternating decision tree is
-the interpretable one: print it and read the rules directly.
+score_matrix for a whole matrix, and score_row/predict_row for one feature
+dict; the row path is score_matrix on a one-row matrix, so both give the
+same scores. The alternating decision tree is the interpretable one: print
+it and read the rules directly.
 """
 
 from churnforge import (ALGORITHMS, GeneratorConfig, LearnerSpec, extract_churn,

@@ -17,10 +17,9 @@ from .features import (FeatureMatrix, WindowSpec, derive, extract_churn,
                        standard_windows, write_matrix)
 from .generator import GeneratorConfig, generate
 from .learners import (ALGORITHMS, ADTreeModel, BayesModel, EnsembleModel,
-                       LearnerSpec, Prediction, SplitCondition, TreeModel, predict,
-                       predict_matrix, train, train_adaboost, train_adtree,
-                       train_bagging, train_bayes, train_cart, train_forest,
-                       train_stump)
+                       LearnerSpec, SplitCondition, TreeModel, predict_matrix, train,
+                       train_adaboost, train_adtree, train_bagging, train_bayes,
+                       train_cart, train_forest, train_stump)
 from .model_io import (HEADER, ModelFormatError, load_model, parse_adtree,
                        print_adtree, save_model)
 from .months import Month, month_range
@@ -33,12 +32,12 @@ __all__ = [
     "ALGORITHMS", "ADTreeModel", "BayesModel", "BillingMonthRecord", "ConfusionMatrix",
     "DatasetFormatError", "EnsembleModel", "EvalReport", "FeatureMatrix",
     "GeneratorConfig", "HEADER", "LearnerSpec", "ModelFormatError", "Month",
-    "PipelineConfig", "Prediction", "ServiceRequestRecord", "SplitCondition",
+    "PipelineConfig", "ServiceRequestRecord", "SplitCondition",
     "SubscriberRecord", "TASKS", "TaskSpec", "TelcoDataset", "TreeModel",
     "UsageMonthRecord", "WindowSpec", "check_integrity", "compare_learners",
     "confusion", "derive", "extract_churn", "extract_winback", "filter_dataset",
     "generate", "is_missing", "load_model", "month_range", "monthly_average",
-    "oversample", "parse_adtree", "predict", "predict_matrix", "print_adtree",
+    "oversample", "parse_adtree", "predict_matrix", "print_adtree",
     "rank_features", "read_matrix", "read_tables", "resample", "SamplerConfig",
     "save_model", "select_best",
     "standard_windows", "stratified_kfold", "train", "train_adaboost",

@@ -303,7 +303,7 @@ def write_tables(dataset: TelcoDataset, directory: str) -> None:
 
 
 def _plain_fields(raw: bytes):
-    """(header, buffer, row widths, separator offsets) of a file with no
+    """(header, buffer, row widths, separator offsets, None) of a file with no
     quote, CR or NUL, split as ``csv.reader`` splits it: on commas and LFs,
     an empty line being a row of no fields. Field k of the rows spans
     ``bounds[k] + 1 .. bounds[k + 1]``. None when a line is longer than
@@ -327,25 +327,33 @@ def _plain_fields(raw: bytes):
         widths.append(np.where(lengths > 0, np.diff(lf, prepend=-1), 0))
         bounds.append(seps + start)
         start = stop
-    return header, buf, np.concatenate(widths), np.concatenate(bounds)
+    return header, buf, np.concatenate(widths), np.concatenate(bounds), None
 
 
 def _csv_fields(path: str):
     """The same for any file, read by ``csv.reader``: each field is packed
-    into the buffer followed by one comma."""
+    into the buffer followed by one comma. A row ``csv.reader`` rejects
+    (a field over its limit) ends the rows, and its message is returned
+    last; None when every row was read."""
     buf, widths, lengths = bytearray(), array.array("q"), array.array("q")
+    header = error = None
     with open(path, encoding="utf-8", newline="") as f:
         rows = csv.reader(f)
-        header = next(rows, None)
-        for row in rows:
-            widths.append(len(row))
-            if row:
-                fields = [field.encode() for field in row]
-                lengths.extend(map(len, fields))
-                buf += b",".join(fields) + b","
+        try:
+            header = next(rows, None)
+            for row in rows:
+                widths.append(len(row))
+                if row:
+                    fields = [field.encode() for field in row]
+                    lengths.extend(map(len, fields))
+                    buf += b",".join(fields) + b","
+        except csv.Error as exc:
+            if header is None:
+                raise DatasetFormatError(f"{path}:1: {exc}") from None
+            error = str(exc)
     bounds = np.cumsum(np.concatenate([[-1], np.asarray(lengths) + 1]))
     return (header, np.frombuffer(buf, np.uint8), np.asarray(widths),
-            bounds.astype(np.int32 if len(buf) < 2**31 else np.int64))
+            bounds.astype(np.int32 if len(buf) < 2**31 else np.int64), error)
 
 
 _POW10 = np.array([float(10**k) for k in range(16)])
@@ -426,17 +434,24 @@ class _TableReader:
         self.names = [f.name for f in dataclasses.fields(record)]
         with open(self.path, "rb") as f:
             raw = f.read()
+        if not raw.isascii():
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = len((raw[:exc.start] + b"x").splitlines())
+                raise DatasetFormatError(f"{self.path}:{line}: byte {raw[exc.start]:#04x} "
+                                         f"is not UTF-8 text") from None
         fields = None
         if not (b'"' in raw or b"\r" in raw or b"\0" in raw):
-            if not raw.isascii():
-                raw.decode("utf-8")  # fail on bytes that are not UTF-8, as a text reader does
             fields = _plain_fields(raw)
-        header, self.buf, widths, bounds = fields or _csv_fields(self.path)
+        header, self.buf, widths, bounds, error = fields or _csv_fields(self.path)
         if header != self.names:
             raise DatasetFormatError(f"{self.path}:1: bad header {header!r}")
         width = len(self.names)
         self.n = len(widths)  # rows still to check
         self.error: DatasetFormatError | None = None
+        if error is not None:  # the row csv.reader rejected, unless an earlier one fails
+            self.fail(self.n, error)
         self.check(widths == width, lambda i: f"expected {width} fields, got {widths[i]}")
         self.bounds = bounds[:self.n * width + 1]  # the fields of the rows of the right width
 

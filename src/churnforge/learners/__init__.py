@@ -1,17 +1,18 @@
-"""One contract over all classifiers: train(matrix, spec) -> model,
-and every model answers score_row/predict_row for a single feature dict
-plus score_matrix for a whole FeatureMatrix.
+"""One contract over all classifiers: train(matrix, spec) -> model, and
+every model answers score_matrix for a whole FeatureMatrix plus
+score_row/predict_row for a single feature dict, which run score_matrix on
+a one-row matrix and so give the same bits.
 
-Score semantics per family: probability of class 1 for trees/Bayes, vote
-fraction for bagging/forest, signed margin for ADTree/AdaBoost. In every
-case the predicted class is 1 only when the score is strictly above the
-family's threshold (0.5 or 0), so exact ties fall to class 0.
+Score semantics per family: probability of class 1 for trees, vote
+fraction for bagging/forest, log-posterior odds for Bayes, and signed
+margin for ADTree/AdaBoost. In every case the predicted class is 1 only
+when the score is strictly above the family's `threshold` (0.5 for trees
+and votes, 0 for the others), so exact ties fall to class 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -54,11 +55,6 @@ class LearnerSpec:
             raise ValueError("features_per_split must be a positive integer")
 
 
-class Prediction(NamedTuple):
-    score: float
-    label: int
-
-
 def train(matrix: FeatureMatrix, spec: LearnerSpec):
     """Train the algorithm named by the spec; deterministic given
     (matrix, spec, seed)."""
@@ -88,37 +84,20 @@ def train(matrix: FeatureMatrix, spec: LearnerSpec):
     raise AssertionError(a)
 
 
-def predict(model, row: dict) -> Prediction:
-    return Prediction(float(model.score_row(row)), int(model.predict_row(row)))
-
-
-def model_features(model) -> set[str]:
-    """The feature names a model's conditions and tables read."""
-    if isinstance(model, EnsembleModel):
-        return set().union(*map(model_features, model.members))
-    if isinstance(model, ADTreeModel):
-        return {sp.condition.feature for sp in model.iter_splitters()}
-    if isinstance(model, BayesModel):
-        return set(model.numeric) | set(model.categorical)
-    features, stack = set(), [model.root]
-    while stack:
-        node = stack.pop()
-        if not node.is_leaf:
-            features.add(node.condition.feature)
-            stack += [node.left, node.right]
-    return features
+def model_features(model) -> dict[str, str]:
+    """{feature: kind} of the features a model's conditions and tables
+    read, each with the kind the model reads it as."""
+    return model.features()
 
 
 def predict_matrix(model, matrix: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
     """(scores, labels) over all rows, using the model's batch path."""
     scores = model.score_matrix(matrix)
-    threshold = 0.0 if isinstance(model, ADTreeModel) or (
-        isinstance(model, EnsembleModel) and model.combine == "margin") else 0.5
-    return scores, (scores > threshold).astype(np.int8)
+    return scores, (scores > model.threshold).astype(np.int8)
 
 
 __all__ = [
-    "ALGORITHMS", "LearnerSpec", "Prediction", "train", "predict", "predict_matrix",
+    "ALGORITHMS", "LearnerSpec", "train", "predict_matrix",
     "model_features",
     "SplitCondition", "TrainingData",
     "TreeModel", "train_cart", "train_stump",

@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..features import FeatureMatrix, is_missing
-from .conditions import (CATEGORICAL_EQ, NUMERIC_LT, SplitCondition, TrainingData,
+from ..features import FeatureMatrix
+from .conditions import (CATEGORICAL_EQ, NUMERIC_LT, RowScoring, SplitCondition, TrainingData,
                          column_blocks, cut_statistics, node_order)
 
 
@@ -52,31 +52,20 @@ class PredictionNode:
 
 
 @dataclass
-class ADTreeModel:
+class ADTreeModel(RowScoring):
     root: PredictionNode
     # training exp-loss trace, one entry per boosting round; not part of
     # the model's identity (excluded from equality, never serialized)
     weight_totals: list[float] = field(default_factory=list, compare=False, repr=False)
 
-    def score_row(self, row: dict) -> float:
-        parts: list[float] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            parts.append(node.value)
-            for sp in node.splitters:
-                h = sp.condition.holds(row.get(sp.condition.feature))
-                if h is None:
-                    continue
-                stack.append(sp.yes if h else sp.no)
-        return math.fsum(parts)
+    threshold = 0.0
 
-    def predict_row(self, row: dict) -> int:
-        return int(self.score_row(row) > 0)
+    def features(self) -> dict[str, str]:
+        """{feature: kind} of the features the splitters' conditions read."""
+        return {sp.condition.feature: sp.condition.feature_kind for sp in self.iter_splitters()}
 
     def score_matrix(self, matrix: FeatureMatrix) -> np.ndarray:
-        """Each row's score is the fsum of the values it reaches, as in
-        ``score_row``, so both paths give the same bits."""
+        """Each row's score is the fsum of the values it reaches."""
         reached: list[tuple[float, np.ndarray]] = []
         self._reach(self.root, np.arange(matrix.n_rows), matrix, reached)
         if not reached:
@@ -96,13 +85,7 @@ class ADTreeModel:
             column = matrix.columns.get(sp.condition.feature)
             if column is None:  # an absent feature is missing in every row
                 continue
-            values = column[idx]
-            if sp.condition.kind == NUMERIC_LT:
-                present = ~np.isnan(values)
-                yes = (values < sp.condition.threshold) & present
-            else:
-                present = np.array([not is_missing(v) for v in values], dtype=bool)
-                yes = np.array([v == sp.condition.category for v in values], dtype=bool)
+            yes, present = sp.condition.masks(column[idx])
             self._reach(sp.yes, idx[yes], matrix, reached)
             self._reach(sp.no, idx[present & ~yes], matrix, reached)
 
@@ -158,7 +141,9 @@ def train_adtree(matrix: FeatureMatrix, n_boost_rounds: int = 10) -> ADTreeModel
                 best = cand + (pos,)
         if best is None:
             break
-        _, cond, yes, no, pos = best
+        _, cond, pos = best
+        cond_yes, present = cond.masks(matrix.columns[cond.feature])
+        yes, no = reach[pos] & cond_yes, reach[pos] & present & ~cond_yes
         a_yes = _value(float(w[yes & (td.y == 1)].sum()), float(w[yes & (td.y == 0)].sum()))
         a_no = _value(float(w[no & (td.y == 1)].sum()), float(w[no & (td.y == 0)].sum()))
         yes_node = PredictionNode(a_yes)
@@ -175,9 +160,9 @@ def train_adtree(matrix: FeatureMatrix, n_boost_rounds: int = 10) -> ADTreeModel
 
 
 def _best_condition(td: TrainingData, mask, w, weights, total_w):
-    """Lowest-Z (z, condition, yes mask, no mask) over every feature at the
-    prediction node reached by the rows in `mask`, or None when nothing
-    splits it. Rows missing the feature fall in neither branch."""
+    """Lowest-Z (z, condition) over every feature at the prediction node
+    reached by the rows in `mask`, or None when nothing splits it. Rows
+    missing the feature fall in neither branch."""
     best = (np.inf, None, None)  # z, feature, operand
     for cols in column_blocks(np.arange(len(td.numeric)), np.count_nonzero(mask)):
         values, cuts, (c1, c0) = cut_statistics(td, node_order(td, mask, cols), weights, cols)
@@ -207,13 +192,5 @@ def _best_condition(td: TrainingData, mask, w, weights, total_w):
     if feature is None:
         return None
     if feature in td.column:
-        x = td.X[td.column[feature]]
-        yes = mask & (x < operand)
-        no = mask & ~np.isnan(x) & ~(x < operand)
-        cond = SplitCondition(feature, NUMERIC_LT, threshold=float(operand))
-    else:
-        codes = td.codes[feature]
-        yes = mask & (codes == td.categories[feature].index(operand))
-        no = mask & (codes >= 0) & ~yes
-        cond = SplitCondition(feature, CATEGORICAL_EQ, category=str(operand))
-    return z, cond, yes, no
+        return z, SplitCondition(feature, NUMERIC_LT, threshold=float(operand))
+    return z, SplitCondition(feature, CATEGORICAL_EQ, category=str(operand))

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..features import NUMERIC, FeatureMatrix
+from ..features import CATEGORICAL, NUMERIC, FeatureMatrix
+from .conditions import RowScoring
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -36,33 +37,17 @@ class CategoryStats:
 
 
 @dataclass
-class BayesModel:
+class BayesModel(RowScoring):
     log_prior_odds: float  # log(P(1)/P(0))
     numeric: dict[str, GaussianStats] = field(default_factory=dict)
     categorical: dict[str, CategoryStats] = field(default_factory=dict)
 
-    def score_row(self, row: dict) -> float:
-        parts = [self.log_prior_odds]
-        for name, g in self.numeric.items():
-            x = row.get(name)
-            if x is None or (isinstance(x, float) and math.isnan(x)) or not g.usable:
-                continue
-            parts.append(_gauss_loglik(x, g.mean[1], g.var[1])
-                         - _gauss_loglik(x, g.mean[0], g.var[0]))
-        for name, c in self.categorical.items():
-            v = row.get(name)
-            if v is None or v != v:  # None or NaN: missing
-                continue
-            k = len(c.categories)
-            c1, c0 = 0, 0
-            if v in c.counts:
-                c0, c1 = c.counts[v]
-            parts.append(math.log((c1 + 1) / (c.totals[1] + k))
-                         - math.log((c0 + 1) / (c.totals[0] + k)))
-        return math.fsum(parts)
+    threshold = 0.0
 
-    def predict_row(self, row: dict) -> int:
-        return int(self.score_row(row) > 0)
+    def features(self) -> dict[str, str]:
+        """{feature: kind} of the features the model has tables for."""
+        return {**dict.fromkeys(self.numeric, NUMERIC),
+                **dict.fromkeys(self.categorical, CATEGORICAL)}
 
     def score_matrix(self, matrix: FeatureMatrix) -> np.ndarray:
         out = np.full(matrix.n_rows, self.log_prior_odds)
@@ -90,10 +75,6 @@ class BayesModel:
                             - math.log((c0 + 1) / (c.totals[0] + k)))
             out += delta
         return out
-
-
-def _gauss_loglik(x: float, mean: float, var: float) -> float:
-    return -0.5 * (_LOG_2PI + math.log(var)) - (x - mean) ** 2 / (2.0 * var)
 
 
 def _gauss_loglik_vec(x: np.ndarray, mean: float, var: float) -> np.ndarray:

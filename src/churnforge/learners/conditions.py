@@ -1,4 +1,5 @@
-"""Split conditions and the shared split-search machinery.
+"""Split conditions, the row-scoring path every model family shares, and
+the shared split-search machinery.
 
 Numeric candidates are midpoints between consecutive distinct sorted
 values; categorical candidates are equality tests against each observed
@@ -44,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..features import CATEGORICAL, FeatureMatrix, is_missing
+from ..features import CATEGORICAL, NUMERIC, FeatureMatrix, is_missing
 
 LEFT = "left"    # condition holds
 RIGHT = "right"  # condition fails
@@ -61,31 +62,41 @@ class SplitCondition:
     category: str | None = None
     missing_goes: str = RIGHT
 
-    def holds(self, value) -> bool | None:
-        """True/False for a present value, None when the value is missing."""
-        if is_missing(value):
-            return None
+    @property
+    def feature_kind(self) -> str:
+        """The kind of column the condition reads."""
+        return NUMERIC if self.kind == NUMERIC_LT else CATEGORICAL
+
+    def masks(self, column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(yes, present) over a column: whether the condition holds for
+        each value, and whether the value is present. None and NaN are
+        missing, as `is_missing` says, and a missing value is never yes.
+        Trees send a missing value down `missing_goes`; ADTrees enter
+        neither branch."""
         if self.kind == NUMERIC_LT:
-            return bool(value < self.threshold)
-        return bool(value == self.category)
-
-    def route(self, value) -> bool:
-        """Tree routing: True = left branch; missing follows missing_goes."""
-        h = self.holds(value)
-        if h is None:
-            return self.missing_goes == LEFT
-        return h
-
-    def describe(self, negate: bool = False) -> str:
-        if self.kind == NUMERIC_LT:
-            op = ">=" if negate else "<"
-            return f"{self.feature} {op} {_fmt_threshold(self.threshold)}"
-        op = "!=" if negate else "="
-        return f"{self.feature} {op} {self.category}"
+            return column < self.threshold, ~np.isnan(column)
+        return (np.array([v == self.category for v in column], dtype=bool),
+                np.array([not is_missing(v) for v in column], dtype=bool))
 
 
-def _fmt_threshold(t: float) -> str:
-    return repr(float(t))
+class RowScoring:
+    """score_row and predict_row for every model family. A model scores one
+    feature dict by running its own ``score_matrix`` on a one-row matrix of
+    the features it reads, typed by ``features()`` ({feature: kind}), so a
+    row scores with the bits its batch gives it; a feature the dict lacks
+    is missing. The class is 1 only when the score is strictly above the
+    family's ``threshold``, so exact ties fall to class 0."""
+
+    threshold = 0.5
+
+    def score_row(self, row: dict) -> float:
+        kinds = self.features()
+        columns = {f: np.array([row.get(f)], dtype=np.float64 if kind == NUMERIC else object)
+                   for f, kind in kinds.items()}
+        return float(self.score_matrix(FeatureMatrix([""], list(kinds), kinds, columns))[0])
+
+    def predict_row(self, row: dict) -> int:
+        return int(self.score_row(row) > self.threshold)
 
 
 class TrainingData:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..features import FeatureMatrix
-from .conditions import TrainingData
+from .conditions import RowScoring, TrainingData
 from .trees import TreeModel, TreeNode, fit_tree, fit_trees
 
 VOTE = "vote"
@@ -23,7 +23,7 @@ MARGIN = "margin"
 
 
 @dataclass
-class EnsembleModel:
+class EnsembleModel(RowScoring):
     combine: str  # VOTE | MARGIN
     members: list = field(default_factory=list)
     alphas: list[float] = field(default_factory=list)  # MARGIN only
@@ -32,27 +32,23 @@ class EnsembleModel:
         if self.combine not in (VOTE, MARGIN):
             raise ValueError(f"unknown combine rule {self.combine!r}")
 
-    def score_row(self, row: dict) -> float:
-        if self.combine == VOTE:
-            votes = sum(m.predict_row(row) for m in self.members)
-            return votes / len(self.members)
-        return math.fsum(a * (1.0 if m.predict_row(row) == 1 else -1.0)
-                         for a, m in zip(self.alphas, self.members))
+    @property
+    def threshold(self) -> float:
+        return 0.5 if self.combine == VOTE else 0.0
 
-    def predict_row(self, row: dict) -> int:
-        if self.combine == VOTE:
-            return int(self.score_row(row) > 0.5)
-        return int(self.score_row(row) > 0)
+    def features(self) -> dict[str, str]:
+        """{feature: kind} of the features any member reads."""
+        return {f: kind for m in self.members for f, kind in m.features().items()}
 
     def score_matrix(self, matrix: FeatureMatrix) -> np.ndarray:
         if self.combine == VOTE:
             votes = np.zeros(matrix.n_rows)
             for m in self.members:
-                votes += (m.score_matrix(matrix) > 0.5)
+                votes += m.score_matrix(matrix) > m.threshold
             return votes / len(self.members)
         out = np.zeros(matrix.n_rows)
         for a, m in zip(self.alphas, self.members):
-            out += a * np.where(m.score_matrix(matrix) > 0.5, 1.0, -1.0)
+            out += a * np.where(m.score_matrix(matrix) > m.threshold, 1.0, -1.0)
         return out
 
 
@@ -136,7 +132,7 @@ def train_adaboost(matrix: FeatureMatrix, n_boost_rounds: int = 20,
             member = fit_tree(td, max_depth=max_depth, min_leaf=min_leaf, weights=w)
         else:
             raise ValueError(f"unsupported AdaBoost base learner {base_algorithm!r}")
-        pred = (member.score_matrix(matrix) > 0.5).astype(np.float64)
+        pred = (member.score_matrix(matrix) > member.threshold).astype(np.float64)
         wrong = pred != y
         eps = float(w[wrong].sum() / w.sum())
         if eps >= 0.5:

@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..features import FeatureMatrix, is_missing
-from .conditions import GiniSearch, SplitCondition, TrainingData
+from ..features import FeatureMatrix
+from .conditions import LEFT, GiniSearch, RowScoring, SplitCondition, TrainingData
 
 
 @dataclass
@@ -26,18 +26,19 @@ class TreeNode:
 
 
 @dataclass
-class TreeModel:
+class TreeModel(RowScoring):
     root: TreeNode
     feature_names: list[str] = field(default_factory=list)
 
-    def score_row(self, row: dict) -> float:
-        node = self.root
-        while not node.is_leaf:
-            node = node.left if node.condition.route(row.get(node.condition.feature)) else node.right
-        return node.p1
-
-    def predict_row(self, row: dict) -> int:
-        return int(self.score_row(row) > 0.5)
+    def features(self) -> dict[str, str]:
+        """{feature: kind} of the features the tree's conditions read."""
+        found, stack = {}, [self.root]
+        while stack:
+            node = stack.pop()
+            if not node.is_leaf:
+                found[node.condition.feature] = node.condition.feature_kind
+                stack += [node.left, node.right]
+        return found
 
     def score_matrix(self, matrix: FeatureMatrix) -> np.ndarray:
         out = np.zeros(matrix.n_rows)
@@ -51,26 +52,12 @@ class TreeModel:
             out[idx] = node.p1
             return
         column = matrix.columns.get(node.condition.feature)
-        if column is None:  # an absent feature is missing in every row
-            left = np.full(len(idx), node.condition.missing_goes == "left")
-        else:
-            left = _route_mask(node.condition, column[idx])
+        # an absent feature is missing in every row
+        yes, present = node.condition.masks(
+            np.full(len(idx), np.nan) if column is None else column[idx])
+        left = yes | ~present if node.condition.missing_goes == LEFT else yes
         self._assign(node.left, idx[left], matrix, out)
         self._assign(node.right, idx[~left], matrix, out)
-
-
-def _route_mask(cond: SplitCondition, values: np.ndarray) -> np.ndarray:
-    if cond.kind == "numeric_lt":
-        missing = np.isnan(values)
-        left = values < cond.threshold
-    else:
-        missing = np.array([is_missing(v) for v in values], dtype=bool)
-        left = np.array([v == cond.category for v in values], dtype=bool)
-    if cond.missing_goes == "left":
-        left = left | missing
-    else:
-        left = left & ~missing
-    return left
 
 
 def grow(search: GiniSearch, max_depth: int, features_per_split: int | None,

@@ -308,7 +308,7 @@ def rank_predictions(billing_ids: list[str], scores, direction: str,
 def cmd_predict(cfg: PipelineConfig, holdout: bool = False) -> str:
     model = _load_final_model(cfg)
     matrix = read_matrix(cfg.path("test.csv"))
-    missing = sorted(model_features(model) - set(matrix.feature_names))
+    missing = sorted(model_features(model).keys() - set(matrix.feature_names))
     if missing:
         raise ValueError(f"{cfg.path('test.csv')} lacks feature columns the model uses: "
                          f"{', '.join(missing)}")

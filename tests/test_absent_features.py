@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from conftest import make_matrix
 
-from churnforge import LearnerSpec, train, train_bayes
+from churnforge import LearnerSpec, TreeModel, train, train_bayes
 from churnforge.learners import model_features
+from test_trees import walk_score
 
 
 def _two_feature_matrix(n=120):
@@ -18,6 +19,20 @@ def _two_feature_matrix(n=120):
     b = rng.integers(0, 3, n).astype(float)
     labels = (a + 0.3 * rng.normal(size=n) > 0).astype(int)
     return make_matrix({"a": a.tolist(), "b": b.tolist()}, labels=labels.tolist())
+
+
+def _walk_score(model, row):
+    """A tree's scalar walk, combined over an ensemble's members by its
+    rule: the fraction voting class 1, or the margin summed in member order."""
+    if isinstance(model, TreeModel):
+        return walk_score(model, row)
+    votes = [walk_score(member, row) > 0.5 for member in model.members]
+    if model.combine == "vote":
+        return sum(votes) / len(votes)
+    margin = 0.0
+    for alpha, vote in zip(model.alphas, votes):
+        margin += alpha * (1.0 if vote else -1.0)
+    return margin
 
 
 @pytest.mark.parametrize("spec", [
@@ -32,6 +47,7 @@ def test_tree_batch_scoring_routes_an_absent_feature_as_missing(spec):
     only_b = make_matrix({"b": m.columns["b"].tolist()})
     rows = [{"b": float(v)} for v in m.columns["b"]]
     assert model.score_matrix(only_b).tolist() == [model.score_row(r) for r in rows]
+    assert model.score_matrix(only_b).tolist() == [_walk_score(model, r) for r in rows]
 
 
 def test_bayes_batch_scoring_skips_an_absent_feature():

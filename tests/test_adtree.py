@@ -233,6 +233,7 @@ def test_matrix_and_row_scoring_agree():
     batch = model.score_matrix(m)
     for i in range(m.n_rows):
         assert batch[i] == pytest.approx(model.score_row(m.row(i)), abs=1e-9)
+        assert batch[i] == path_enumeration_score(model, m.row(i))
 
 
 def test_training_deterministic(planted_dataset):
@@ -288,9 +289,7 @@ def test_nan_in_categorical_column_is_missing():
     batch = model.score_matrix(m)
     for i in range(m.n_rows):
         row = m.row(i)
-        assert model.score_row(row) == path_enumeration_score(model, row)
-        # the batch path adds values in traversal order, the row path by fsum
-        assert batch[i] == pytest.approx(model.score_row(row), abs=1e-12)
+        assert model.score_row(row) == path_enumeration_score(model, row) == batch[i]
         if is_missing(row["loc"]):
             assert model.score_row(row) == model.score_row({**row, "loc": None})
 
@@ -302,3 +301,5 @@ def test_matrix_scoring_treats_absent_column_as_missing():
     without_loc = make_matrix({"x": list(m.columns["x"])})
     rows = [{"x": v} for v in m.columns["x"]]
     assert model.score_matrix(without_loc).tolist() == [model.score_row(r) for r in rows]
+    assert model.score_matrix(without_loc).tolist() == [path_enumeration_score(model, r)
+                                                         for r in rows]

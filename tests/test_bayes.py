@@ -74,6 +74,20 @@ def test_matrix_path_matches_row_path():
          "loc": [["AJP", "TLS"][int(k)] for k in rng.integers(0, 2, 40)]},
         labels=rng.integers(0, 2, 40).tolist())
     model = train_bayes(m)
+    g, c = model.numeric["a"], model.categorical["loc"]
+
+    def by_hand(row):
+        """Prior plus one log-odds term per feature, from the fitted tables."""
+        def loglik(x, mean, var):
+            return -0.5 * math.log(2 * math.pi * var) - (x - mean) ** 2 / (2 * var)
+        c0, c1 = c.counts[row["loc"]]
+        return math.fsum([model.log_prior_odds,
+                          loglik(row["a"], g.mean[1], g.var[1])
+                          - loglik(row["a"], g.mean[0], g.var[0]),
+                          math.log((c1 + 1) / (c.totals[1] + 2))
+                          - math.log((c0 + 1) / (c.totals[0] + 2))])
+
     batch = model.score_matrix(m)
     for i in range(m.n_rows):
-        assert batch[i] == pytest.approx(model.score_row(m.row(i)), abs=1e-9)
+        assert batch[i] == model.score_row(m.row(i))
+        assert batch[i] == pytest.approx(by_hand(m.row(i)), abs=1e-9)

@@ -7,6 +7,7 @@ from churnforge.evaluation import confusion
 from churnforge.learners.ensembles import _train_member
 from churnforge.model_io import model_to_dict
 from conftest import make_matrix
+from test_trees import walk_score
 
 
 def _noise_matrix(rng, n=60):
@@ -97,6 +98,7 @@ def test_vote_scores_are_member_fractions():
     assert np.all((scores * 7) % 1 < 1e-9)  # multiples of 1/7
     for i in range(m.n_rows):
         assert ensemble.score_row(m.row(i)) == pytest.approx(scores[i])
+        assert scores[i] == sum(walk_score(t, m.row(i)) > 0.5 for t in ensemble.members) / 7
 
 
 def test_empty_or_invalid_params_rejected():

@@ -1,5 +1,7 @@
-"""Scoring: the ADTree batch path gives the row path's bits, and predict
-checks the test matrix against the features the model uses."""
+"""Scoring: every family's row path is its batch path on one row, ADTree
+batch scores equal the path-enumeration oracle's, missing categories score
+as missing, and predict checks the test matrix against the features the
+model uses."""
 
 import csv
 import os
@@ -7,9 +9,52 @@ import os
 import numpy as np
 import pytest
 from conftest import make_matrix
-from test_adtree import _category_matrix
+from test_adtree import _category_matrix, path_enumeration_score
+from test_trees import walk_score
 
-from churnforge import cli, load_model, parse_adtree, train_adtree
+from churnforge import (ALGORITHMS, LearnerSpec, cli, load_model, parse_adtree, predict_matrix,
+                        train, train_adtree, train_cart)
+from churnforge.learners import model_features
+from churnforge.model_io import model_to_dict
+
+
+def _mixed_matrix(n=400):
+    rng = np.random.default_rng(17)
+    a, b = rng.normal(size=n), rng.normal(size=n)
+    loc = rng.choice(["AJP", "TLS", "KLC"], n)
+    labels = (a + 0.5 * b + (loc == "AJP") + rng.normal(size=n) > 0.8).astype(int)
+    return make_matrix({
+        "a": [None if rng.random() < 0.1 else float(v) for v in a],
+        "b": b.tolist(),
+        "loc": [None if rng.random() < 0.1 else str(v) for v in loc],
+    }, labels=labels.tolist(), kinds={"loc": "categorical"})
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_row_path_is_the_batch_path_on_one_row(algorithm):
+    m = _mixed_matrix()
+    model = train(m, LearnerSpec(algorithm, n_trees=5, n_boost_rounds=5, max_depth=3, seed=3))
+    scores, labels = predict_matrix(model, m)
+    rows = [m.row(i) for i in range(m.n_rows)]
+    assert [model.predict_row(r) for r in rows] == labels.tolist()
+    assert [model.score_row(r) for r in rows] == scores.tolist()
+    if algorithm == "bayes":  # log-odds in (0, 0.5] are class 1
+        band = (scores > 0) & (scores <= 0.5)
+        assert band.any() and labels[band].all()
+
+
+@pytest.mark.parametrize("missing", [None, float("nan"), np.float64("nan")],
+                         ids=["None", "nan", "float64_nan"])
+def test_missing_category_values_score_as_missing(missing):
+    m, base = _category_matrix(nan=missing), _category_matrix(nan=None)
+    adt = train_adtree(m, n_boost_rounds=3)
+    assert model_to_dict(adt) == model_to_dict(train_adtree(base, n_boost_rounds=3))
+    cart = train_cart(base, max_depth=2)
+    for model, oracle in ((adt, path_enumeration_score), (cart, walk_score)):
+        assert "loc" in model_features(model)
+        expected = [oracle(model, base.row(i)) for i in range(base.n_rows)]
+        assert model.score_matrix(m).tolist() == expected
+        assert [model.score_row(m.row(i)) for i in range(m.n_rows)] == expected
 
 REFERENCE = os.path.join(os.path.dirname(__file__), "data", "consumer_churn_reference.adt")
 
@@ -18,6 +63,8 @@ def test_adtree_batch_scores_equal_row_scores_on_nan_categories():
     m = _category_matrix()
     model = train_adtree(m, n_boost_rounds=3)
     assert model.score_matrix(m).tolist() == [model.score_row(m.row(i)) for i in range(m.n_rows)]
+    assert model.score_matrix(m).tolist() == [path_enumeration_score(model, m.row(i))
+                                              for i in range(m.n_rows)]
 
 
 def test_adtree_batch_scores_equal_row_scores_on_reference_model():
@@ -39,6 +86,8 @@ def test_adtree_batch_scores_equal_row_scores_on_reference_model():
         "PAYMENT_avg": numeric(-80.0, 10.0),
     }, kinds={"T_Location": "categorical"})
     assert model.score_matrix(m).tolist() == [model.score_row(m.row(i)) for i in range(n)]
+    assert model.score_matrix(m).tolist() == [path_enumeration_score(model, m.row(i))
+                                              for i in range(n)]
 
 
 def _first_feature(model, learner):

@@ -467,3 +467,37 @@ def test_table_index_extracts_like_the_dataset(small_dataset):
         assert (extract_winback(index, winback.termination_range, winback.label_months)
                 == extract_winback(small_dataset, winback.termination_range,
                                    winback.label_months))
+
+
+# ---------------------------------------------------------------------------
+# defects that the text and csv layers find name their file and line
+# ---------------------------------------------------------------------------
+
+BAD_BILL = "B2,2011-04,4900,4900,4900,0,4900,0\n"
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+def test_bytes_that_are_not_utf8_name_their_line(tmp_path, quoted):
+    _write(tmp_path, billing=[BAD_BILL, BAD_BILL.replace("B2", "B3")])
+    path = tmp_path / "billing.csv"
+    raw = path.read_bytes().replace(b"B3", b"B\xff3")
+    path.write_bytes(raw.replace(b"B2", b'"B2"') if quoted else raw)
+    with pytest.raises(DatasetFormatError, match=r"billing\.csv:4: byte 0xff is not UTF-8"):
+        read_tables(str(tmp_path))
+
+
+@pytest.mark.parametrize("rows,where,what", [
+    ([BAD_BILL, "B" * (csv.field_size_limit() + 1) + BAD_BILL[2:]], "billing.csv:4",
+     "field larger than field limit"),
+    # an earlier defect is named first, as a row-by-row reader meets it first
+    ([BAD_BILL.replace("2011-04", "2011-x"), "B" * (csv.field_size_limit() + 1) + BAD_BILL[2:]],
+     "billing.csv:3", "malformed month"),
+    (['"' + "B" * (csv.field_size_limit() + 1) + '"' + BAD_BILL[2:]], "billing.csv:3",
+     "field larger than field limit"),
+])
+def test_field_over_the_csv_limit_names_its_line(tmp_path, rows, where, what):
+    _write(tmp_path, billing=rows)
+    with pytest.raises(DatasetFormatError) as info:
+        read_tables(str(tmp_path))
+    message = str(info.value)
+    assert f"{where}: " in message and what in message

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +36,24 @@ def gini_oracle_stump(matrix):
             if best is None or score > best[0]:
                 best = (score, feature, threshold)
     return None if best is None else (best[1], best[2])
+
+
+def _goes_left(cond, value):
+    """Scalar tree routing: True = left; a missing value follows missing_goes."""
+    if value is None or (isinstance(value, float) and math.isnan(value)):
+        return cond.missing_goes == "left"
+    if cond.kind == "numeric_lt":
+        return value < cond.threshold
+    return value == cond.category
+
+
+def walk_score(model, row):
+    """A tree's score by a scalar walk from the root to a leaf."""
+    node = model.root
+    while not node.is_leaf:
+        left = _goes_left(node.condition, row.get(node.condition.feature))
+        node = node.left if left else node.right
+    return node.p1
 
 
 def all_binary_matrices_8rows():
@@ -129,7 +148,7 @@ def _leaf_assignment(model, matrix):
             return
         next(counter)
         values = matrix.columns[node.condition.feature][idx]
-        left = np.array([node.condition.route(v) for v in values], dtype=bool)
+        left = np.array([_goes_left(node.condition, v) for v in values], dtype=bool)
         walk(node.left, idx[left])
         walk(node.right, idx[~left])
 
@@ -158,7 +177,7 @@ def test_weighted_gini_never_increases():
             return
         labels = m.labels[idx].astype(float)
         values = m.columns[node.condition.feature][idx]
-        left = np.array([node.condition.route(v) for v in values], dtype=bool)
+        left = np.array([_goes_left(node.condition, v) for v in values], dtype=bool)
         child = (left.mean() * gini(labels[left])
                  + (1 - left.mean()) * gini(labels[~left]))
         assert child <= gini(labels) + 1e-12
@@ -278,7 +297,7 @@ def test_row_and_matrix_paths_agree():
     model = train_cart(m, max_depth=4)
     batch = model.score_matrix(m)
     for i in range(m.n_rows):
-        assert model.score_row(m.row(i)) == batch[i]
+        assert model.score_row(m.row(i)) == batch[i] == walk_score(model, m.row(i))
 
 
 def test_nan_in_categorical_column_routes_as_missing():
@@ -291,5 +310,5 @@ def test_nan_in_categorical_column_routes_as_missing():
     assert model.root.condition.feature == "loc"
     batch = model.score_matrix(m)
     for i in range(m.n_rows):
-        assert model.score_row(m.row(i)) == batch[i]
+        assert model.score_row(m.row(i)) == batch[i] == walk_score(model, m.row(i))
     assert model.score_row({"loc": nan, "x": 1.0}) == model.score_row({"loc": None, "x": 1.0})

@@ -10,7 +10,7 @@ import numpy as np
 
 from .features import FeatureMatrix
 from .learners import LearnerSpec, TrainingData, predict_matrix, train
-from .learners.conditions import category_sums, column_blocks, cut_statistics, node_order
+from .learners.conditions import Batch, GiniSearch
 
 
 @dataclass
@@ -186,42 +186,24 @@ def _entropy_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _split_information_gains(td: TrainingData) -> dict[str, float]:
     """Information gain of the best single binary split on each feature;
-    missing rows are routed with the majority side, as in training."""
-    y, n = td.y, td.n
-    n1 = int(y.sum())
-    n0 = n - n1
-    parent = _entropy(n0, n1)
-    gains = dict.fromkeys(td.numeric, 0.0)
-    everyone = np.ones(n, dtype=bool)
-    for cols in column_blocks(np.arange(len(td.numeric)), n):
-        _, cuts, (nL, cum1) = cut_statistics(td, node_order(td, everyone, cols),
-                                             np.stack([everyone.astype(np.int64), y]), cols)
-        n_pres = nL[:, -1:]
-        route_left = nL > n_pres - nL
-        aL = cum1 + np.where(route_left, n1 - cum1[:, -1:], 0)
-        bL = nL + np.where(route_left, n - n_pres, 0) - aL
-        aR = n1 - aL
-        bR = n0 - bL
-        h = ((aL + bL) / n) * _entropy_vec(bL, aL) + ((aR + bR) / n) * _entropy_vec(bR, aR)
-        best = np.where(cuts, parent - h, -np.inf).max(axis=1)
-        gains.update((td.numeric[f], max(0.0, float(g))) for f, g in zip(cols, best))
-    for feature, categories in td.categories.items():
-        codes = td.codes[feature]
-        present = codes >= 0
-        n_pres = int(present.sum())
-        n_eq = category_sums(codes, len(categories), np.ones(n, dtype=np.int64))
-        miss_left = n_eq > n_pres - n_eq
-        n_left = n_eq + np.where(miss_left, n - n_pres, 0)
-        a_left = (category_sums(codes, len(categories), y)
-                  + np.where(miss_left, n1 - int(y[present].sum()), 0))
-        best = 0.0
-        for nL, aL in zip(n_left.tolist(), a_left.tolist()):
-            nR, aR = n - nL, n1 - aL
-            if nL and nR:
-                h = (nL / n) * _entropy(nL - aL, aL) + (nR / n) * _entropy(nR - aR, aR)
-                best = max(best, parent - h)
-        gains[feature] = best
-    return gains
+    missing rows are routed with the majority side, as in training. The
+    branch counts are the split search's exact integers; numeric cuts take
+    the vectorised entropy and categories the scalar one."""
+    n = td.n
+    n1 = int(td.y.sum())
+    parent = _entropy(n - n1, n1)
+    search = GiniSearch(td)
+    root = search.root(0)
+    gains = np.zeros(len(td.features))
+    for ch, _, nL, aL, nR, aR in search.candidates([root], Batch([root.rows]),
+                                                   [np.arange(len(td.features))]):
+        bL, bR = nL - aL, nR - aR
+        h = (nL / n) * _entropy_vec(bL, aL) + (nR / n) * _entropy_vec(bR, aR)
+        for k in np.flatnonzero(~ch.numeric[ch.line]).tolist():
+            a, b, c, d = (int(v[k]) for v in (nL, bL, nR, bR))
+            h[k] = (a / n) * _entropy(b, a - b) + (c / n) * _entropy(d, c - d)
+        np.maximum.at(gains, ch.feat[ch.line], parent - h)
+    return dict(zip(td.features, gains.tolist()))
 
 
 def rank_features(matrix: FeatureMatrix, top_n: int | None = None) -> list[tuple[str, float]]:

@@ -19,10 +19,12 @@ weights of instances reaching a branch are multiplied by exp(-y * value).
 Ties prefer the earliest-created prediction node, then the
 lexicographically smaller feature, then the smaller threshold/category.
 
-Determinism note: candidate statistics accumulate in value-sorted,
-stable-index row order, and each false-branch sum is the complement of the
-true-branch cumulative sum. That accumulation order is part of the
-contract: it makes tie comparisons reproducible bit-for-bit.
+Determinism note: a numeric cut's weight sums are running sums over the
+node's rows in value-sorted, stable-index order, and its false-branch sums
+are the line's total less them. A category's sums, and the node's present
+total, add the rows holding it pairwise (np.sum) in row order. That
+accumulation order is part of the contract: it makes tie comparisons
+reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..features import FeatureMatrix
-from .conditions import (CATEGORICAL_EQ, NUMERIC_LT, RowScoring, SplitCondition, TrainingData,
-                         column_blocks, cut_statistics, node_order)
+from .conditions import (CATEGORICAL_EQ, NUMERIC_LT, Batch, RowScoring, SplitCondition,
+                         TrainingData, line_chunks, masked_sums)
 
 
 @dataclass
@@ -132,16 +134,10 @@ def train_adtree(matrix: FeatureMatrix, n_boost_rounds: int = 10) -> ADTreeModel
     reach: list[np.ndarray] = [np.ones(td.n, dtype=bool)]
 
     for round_no in range(1, n_boost_rounds + 1):
-        total_w = float(w.sum())
-        weights = np.stack([np.where(ypm > 0, w, 0.0), np.where(ypm > 0, 0.0, w)])
-        best = None
-        for pos, mask in enumerate(reach):
-            cand = _best_condition(td, mask, w, weights, total_w)
-            if cand is not None and (best is None or cand[0] < best[0]):
-                best = cand + (pos,)
+        best = _best_condition(td, reach, w)
         if best is None:
             break
-        _, cond, pos = best
+        pos, cond = best
         cond_yes, present = cond.masks(matrix.columns[cond.feature])
         yes, no = reach[pos] & cond_yes, reach[pos] & present & ~cond_yes
         a_yes = _value(float(w[yes & (td.y == 1)].sum()), float(w[yes & (td.y == 0)].sum()))
@@ -159,38 +155,42 @@ def train_adtree(matrix: FeatureMatrix, n_boost_rounds: int = 10) -> ADTreeModel
     return model
 
 
-def _best_condition(td: TrainingData, mask, w, weights, total_w):
-    """Lowest-Z (z, condition) over every feature at the prediction node
-    reached by the rows in `mask`, or None when nothing splits it. Rows
-    missing the feature fall in neither branch."""
-    best = (np.inf, None, None)  # z, feature, operand
-    for cols in column_blocks(np.arange(len(td.numeric)), np.count_nonzero(mask)):
-        values, cuts, (c1, c0) = cut_statistics(td, node_order(td, mask, cols), weights, cols)
-        t1, t0 = c1[:, -1:], c0[:, -1:]
+def _best_condition(td: TrainingData, reach: list[np.ndarray], w: np.ndarray):
+    """(prediction node, condition) of lowest Z over every feature of every
+    prediction node (`reach` holds each one's row mask), scored in one
+    batch, or None when nothing splits. Rows missing the feature fall in
+    neither branch. Ties keep the earliest node, then the smaller feature,
+    then the smaller threshold or category: the first minimum in line order."""
+    batch = Batch([np.flatnonzero(mask) for mask in reach])
+    weights = np.stack([np.where(td.y == 1, w, 0.0), np.where(td.y == 1, 0.0, w)])
+    total_w = float(w.sum())
+    best = (np.inf, None)
+    every = np.arange(len(td.features))
+    for ch in line_chunks(td, batch, [every] * len(reach)):
+        sums = ch.running_sums(weights)
+        (c1, c0), (t1, t0) = sums[:, ch.at], sums[:, ch.ends[ch.line]]
+        cat = np.flatnonzero(~ch.numeric[ch.line])
+        if len(cat):  # sums over the category's rows and the line's present rows
+            lines, line = np.unique(ch.line[cat], return_inverse=True)
+            rows, x, m = batch.line_values(td, ch.node[lines], ch.feat[lines])
+            positive = td.y[rows] == 1
+            t1[cat], t0[cat] = masked_sums(w, rows, m, (x == x) & positive,
+                                           (x == x) & ~positive)[:, line]
+            rows, m = ch.run_rows(cat)  # a category's rows, ascending
+            positive = td.y[rows] == 1
+            c1[cat], c0[cat] = masked_sums(w, rows, m, positive, ~positive)
         z = 2.0 * (np.sqrt(c1 * c0) + np.sqrt((t1 - c1) * (t0 - c0))) + (total_w - (t1 + t0))
-        f, k = divmod(int(np.where(cuts, z, np.inf).argmin()), z.shape[1])
-        if cuts[f, k] and z[f, k] < best[0]:
-            best = (float(z[f, k]), td.numeric[cols[f]], (values[f, k] + values[f, k + 1]) / 2.0)
-    positive = td.y == 1
-    for feature, categories in td.categories.items():
-        codes = td.codes[feature]
-        present = (codes >= 0) & mask
-        w1_all = float(w[present & positive].sum())
-        w0_all = float(w[present & ~positive].sum())
-        rem = total_w - (w1_all + w0_all)
-        for code, cat in enumerate(categories):
-            eq = (codes == code) & present
-            if not eq.any() or eq.sum() == present.sum():
-                continue
-            w1_yes = float(w[eq & positive].sum())
-            w0_yes = float(w[eq & ~positive].sum())
-            z = 2.0 * (math.sqrt(w1_yes * w0_yes)
-                       + math.sqrt((w1_all - w1_yes) * (w0_all - w0_yes))) + rem
-            if z < best[0] or (z == best[0] and feature < best[1]):
-                best = (z, feature, cat)
-    z, feature, operand = best
-    if feature is None:
+        if len(cat):  # a category's sums a rounding apart give NaN, never picked
+            z[cat] = np.where(np.isnan(z[cat]), np.inf, z[cat])
+        k = int(z.argmin())
+        if z[k] < best[0]:
+            best = (z[k], (int(ch.node[ch.line[k]]), int(ch.feat[ch.line[k]]),
+                           float(ch.operand(k))))
+    if best[1] is None:
         return None
+    pos, f, operand = best[1]
+    feature = td.features[f]
     if feature in td.column:
-        return z, SplitCondition(feature, NUMERIC_LT, threshold=float(operand))
-    return z, SplitCondition(feature, CATEGORICAL_EQ, category=str(operand))
+        return pos, SplitCondition(feature, NUMERIC_LT, threshold=operand)
+    return pos, SplitCondition(feature, CATEGORICAL_EQ,
+                               category=str(td.categories[feature][int(operand)]))

@@ -8,21 +8,18 @@ more training rows ("left" means the condition holds).
 
 Split search presorts once per fit, as SLIQ (Mehta et al. 1996) does.
 TrainingData holds every feature as one float64 row (categories as codes)
-and argsorts each row once, stably, missing values last. A node's rows in
-a feature's sorted order are that fit-wide order filtered stably by the
-node's row mask. For AdaBoost's weighted Gini search, ADTree's Z search
-and feature ranking, `node_order` filters it and `cut_statistics` turns it
-into cumulative sums at every (feature, cut) cell with one 2-D cumsum.
-
-The unweighted Gini search (stumps, CART, bagging and forests) scores the
-open nodes of every member of a fit at once, as SLIQ scores all open
-leaves in one pass over each attribute list (`GiniSearch.split`). A line
-is one (node, feature) pair. The batch sorts its lines' cells by (line,
-presort position), which gives the order filtering the fit-wide presort
-would, at a cost that follows the node sizes. Lines are scored in chunks
-of about _BLOCK_CELLS cells with prefix sums that restart at each line, so
-the temporaries stay a few megabytes. Each node takes the first maximum in
-(feature, cut) order, the tie rule's pick.
+and argsorts each row once, stably, missing values last. A line is one
+(node, feature) pair: the node's rows in the feature's sorted order, which
+is that fit-wide order filtered stably by the node's rows. `line_chunks`
+lays out the lines of a batch of nodes by sorting their cells by (line,
+presort position), at a cost that follows the node sizes, in chunks of
+about _BLOCK_CELLS cells so that the temporaries stay a few megabytes, and
+marks their candidate cuts. Every search scores these, as SLIQ scores all
+open leaves in one pass over each attribute list: the Gini search the open
+nodes of every member of a fit (`GiniSearch.split`), AdaBoost's weighted
+Gini search its one node, ADTree's Z search every prediction node of a
+round, and the feature ranking the root. Each takes the first best
+candidate in (node, feature, cut) order, the tie rule's pick.
 
 A bootstrap member is an integer multiplicity vector over the rows of the
 fitted matrix, not a resampled copy of it. Every count is a sum of
@@ -33,8 +30,10 @@ Unweighted Gini search is done in exact integer arithmetic (converted to
 float by one correctly-rounded division per candidate), so equal-valued
 candidates compare exactly equal and the deterministic tie rule applies:
 lexicographically smaller feature name first, then smaller threshold or
-category. Weighted sums accumulate in value-sorted, stable row order, as a
-per-feature scan would, so weighted ties are reproducible bit for bit.
+category. Weighted sums associate as a scan of each feature of the node
+would: running sums in value-sorted, stable row order, and line totals and
+category sums pairwise (np.sum) over their rows, so weighted ties are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -104,10 +103,10 @@ class TrainingData:
 
     Features are listed in lexicographic order, which is the tie-break scan
     order. `values` holds every feature as one float64 row, NaN = missing:
-    the numeric features first (their block is `X`), then the categorical
-    ones as int codes into a sorted vocabulary (`codes`, -1 = missing).
-    `order` holds each row's stable argsort (missing values last) and
-    `position` each cell's index into the flattened `order`.
+    the numeric features first, then the categorical ones as codes into a
+    sorted vocabulary (`categories`). `order` holds each row's stable
+    argsort (missing values last) and `position` each cell's index into the
+    flattened `order`.
     """
 
     def __init__(self, matrix: FeatureMatrix):
@@ -130,11 +129,9 @@ class TrainingData:
             self.categories[name] = vocab
             code_rows.append([-1 if is_missing(v) else lookup[v] for v in values])
         codes = np.array(code_rows, dtype=np.int64).reshape(len(code_rows), n)
-        self.codes = dict(zip(self.categories, codes))
         self.values = np.empty((len(self.features), n))
-        self.X = self.values[:len(self.numeric)]
         for j, f in enumerate(self.numeric):
-            self.X[j] = matrix.columns[f]
+            self.values[j] = matrix.columns[f]
         self.values[len(self.numeric):] = np.where(codes < 0, np.nan, codes)
         names = self.numeric + list(self.categories)
         self.value_row = np.array([names.index(f) for f in self.features], dtype=np.int64)
@@ -143,8 +140,8 @@ class TrainingData:
 
     @cached_property
     def position(self) -> np.ndarray:
-        """Each (feature, row) cell's index into the flattened presort;
-        only the unweighted Gini search reads it."""
+        """Each (feature, row) cell's index into the flattened presort, by
+        which the split search sorts the rows of its lines."""
         position = np.empty(self.order.size, dtype=np.int64)
         position[(self.order + np.arange(len(self.order))[:, None] * self.n).ravel()] = \
             np.arange(self.order.size)
@@ -155,61 +152,6 @@ class TrainingData:
 # lines so that their temporaries stay a few megabytes
 _BLOCK_CELLS = 1 << 15
 
-
-def column_blocks(cols: np.ndarray, n_rows: int) -> list[np.ndarray]:
-    """The numeric feature indexes `cols` in runs of at most _BLOCK_CELLS
-    cells (at least one feature) for a node of n_rows rows; none when the
-    node has fewer than two rows, as then nothing can be cut."""
-    if n_rows < 2:
-        return []
-    step = max(1, _BLOCK_CELLS // n_rows)
-    return [cols[i:i + step] for i in range(0, len(cols), step)]
-
-
-def node_order(td: TrainingData, keep: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """A node's rows (where the row mask `keep` holds) in the sorted order of
-    each numeric feature in `cols`, one line per feature: the fit-wide order
-    filtered stably, so no node sorts."""
-    order = td.order.take(cols, axis=0)
-    return order[keep.take(order)].reshape(len(cols), -1)
-
-
-def cut_statistics(td: TrainingData, order: np.ndarray, amounts: np.ndarray,
-                   cols: np.ndarray):
-    """Cumulative sums at every candidate cut of a node, for a block of
-    features at once.
-
-    `order` is the node_order of the numeric features `cols` and `amounts`
-    stacks per-row vectors (one line each, over all rows). Returns
-    (values, cuts, sums): values[f, k] is the k-th value of feature f in
-    sorted order, cuts[f, k] says that a threshold between positions k and
-    k+1 separates two distinct present values (never true at the last
-    position), and sums[i, f, k] sums amounts[i] over the present rows among
-    the first k+1, so sums[i, f, -1] is its total over the rows where f is
-    present.
-    """
-    values = td.X.take(order + td.n * cols[:, None])
-    present = values == values  # NaN is missing
-    cuts = np.zeros(values.shape, dtype=bool)
-    cuts[:, :-1] = (values[:, :-1] != values[:, 1:]) & present[:, 1:]
-    return values, cuts, np.cumsum(amounts.take(order, axis=1) * present, axis=2)
-
-
-def category_sums(codes: np.ndarray, n_categories: int, amounts: np.ndarray) -> np.ndarray:
-    """Per category, the sum of an integer amount over the rows holding it."""
-    sums = np.bincount(codes + 1, weights=amounts, minlength=n_categories + 1)
-    return sums[1:].astype(np.int64)
-
-
-def _score_candidates_weighted(waL, wbL, waR, wbR):
-    WL = waL + wbL
-    WR = waR + wbR
-    with np.errstate(divide="ignore", invalid="ignore"):
-        score = (waL * waL + wbL * wbL) / WL + (waR * waR + wbR * wbR) / WR
-    score[(WL <= 0) | (WR <= 0)] = -np.inf
-    return score
-
-
 # A packed amount holds a row's multiplicity above bit _PACK and its class-1
 # multiplicity below, so one gather and one cumsum carry both counts; no
 # node holds 2**_PACK rows, so the halves never carry into each other.
@@ -218,32 +160,37 @@ _LOW = (1 << _PACK) - 1
 
 class Node(NamedTuple):
     """An open node of one member's tree: its rows (ascending, all with a
-    positive count), their number counted with multiplicity, its class-1
-    fraction (of weight), whether it holds one class, and its class-1 count
-    (0 when weighted)."""
+    positive count), their number and its class-1 rows counted with
+    multiplicity, its class-1 fraction (of weight, when weighted), and
+    whether it holds one class."""
     member: int
     rows: np.ndarray
     n: int
     p1: float
     pure: bool
-    a: int = 0
+    a: int
 
 
-class _Batch:
-    """The open nodes scored in one step, their rows concatenated."""
+class Batch:
+    """The rows of the nodes scored in one step (each ascending),
+    concatenated."""
 
-    def __init__(self, nodes: list[Node]):
-        self.lengths = np.array([len(nd.rows) for nd in nodes], dtype=np.int64)
+    def __init__(self, rows: list[np.ndarray]):
+        self.lengths = np.array([len(r) for r in rows], dtype=np.int64)
         self.starts = self.lengths.cumsum() - self.lengths
-        self.rows = np.concatenate([nd.rows for nd in nodes])
-        self.member = np.array([nd.member for nd in nodes], dtype=np.int64)
-        self.n = np.array([nd.n for nd in nodes], dtype=np.int64)
-        # the nodes' rows and class-1 rows, packed
-        self.packed = (self.n << _PACK) | np.array([nd.a for nd in nodes], dtype=np.int64)
+        self.rows = np.concatenate(rows)
 
     def line_rows(self, node: np.ndarray, m: np.ndarray) -> np.ndarray:
         """The rows of each line's node (m = their numbers), concatenated."""
         return self.rows.take(_ranges(self.starts[node], m))
+
+    def line_values(self, td: TrainingData, node: np.ndarray, feat: np.ndarray):
+        """(rows, values, m): for each (node, feature) pair, the node's rows
+        in ascending order and their values of the feature, concatenated,
+        and the pairs' lengths."""
+        m = self.lengths[node]
+        rows = self.line_rows(node, m)
+        return rows, td.values.take(rows + (td.value_row[feat] * td.n).repeat(m)), m
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -264,19 +211,148 @@ def _chunks(cells: np.ndarray):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _sorted_lines(td: TrainingData, batch: _Batch, node: np.ndarray, row: np.ndarray,
+def _sorted_lines(td: TrainingData, batch: Batch, node: np.ndarray, row: np.ndarray,
                   m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each line's node rows in the sorted order of its feature (`row` of
     td.values; m = the lines' lengths), concatenated, and their cells in
     the flattened td.values. The cells are sorted by (line, presort index),
     which keeps the presort's stable order within a line."""
     base = (row * td.n).repeat(m)
+    if (m == td.n).all():  # nodes holding every row: their lines are the presort
+        rows = td.order.take(row, axis=0).ravel()
+        return rows, rows + base
     shift = int(td.order.size).bit_length()
     key = td.position.take(batch.line_rows(node, m) + base)
     key |= (np.arange(len(row)) << shift).repeat(m)
     key.sort()
     rows = td.order.take(key & ((1 << shift) - 1))
     return rows, rows + base
+
+
+class Lines(NamedTuple):
+    """One chunk of a batch's lines, a line being one (node, feature) pair:
+    the node's rows in the feature's sorted order, missing values last.
+    Candidates are cells, in line order: the cell before each numeric cut
+    and the last cell of each category's run."""
+    node: np.ndarray     # each line's node, an index into the batch
+    feat: np.ndarray     # each line's feature, an index into td.features
+    numeric: np.ndarray  # whether each line's feature is numeric
+    m: np.ndarray        # each line's length
+    ends: np.ndarray     # each line's last cell
+    rows: np.ndarray     # each cell's row
+    values: np.ndarray   # each cell's value (categories as codes)
+    present: np.ndarray  # each cell's value is not NaN
+    at: np.ndarray       # each candidate's cell
+    line: np.ndarray     # each candidate's line
+    first: np.ndarray    # the first cell of each candidate's run: its line's
+                         # first, or for a category after the first, the
+                         # cell after the previous candidate
+
+    def running_sums(self, amounts: np.ndarray) -> np.ndarray:
+        """Each line's running sums of `amounts` (one row each, over all
+        training rows) over its present cells, added in cell order.
+        Consecutive lines of one length (a node's lines share its length)
+        are cumulated as the rows of one array."""
+        x = amounts.take(self.rows, axis=1) * self.present
+        out = np.empty_like(x)
+        bounds = [0] + (np.flatnonzero(self.m[1:] != self.m[:-1]) + 1).tolist() + [len(self.m)]
+        cells = [0] + (self.ends + 1).tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            a, b = cells[lo], cells[hi]
+            shape = (len(x), hi - lo, -1)
+            np.cumsum(x[:, a:b].reshape(shape), axis=-1, out=out[:, a:b].reshape(shape))
+        return out
+
+    def run_rows(self, k) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, m): the rows of candidates k's runs, concatenated, and
+        the runs' lengths."""
+        m = self.at[k] - self.first[k] + 1
+        return self.rows[_ranges(self.first[k], m)], m
+
+    def operand(self, k):
+        """The threshold (midpoint to the next value) or category code of
+        candidates k."""
+        at, v = self.at[k], self.values
+        mid = (v[at] + v[np.minimum(at + 1, len(v) - 1)]) / 2.0
+        return np.where(self.numeric[self.line[k]], mid, v[at])
+
+
+def line_chunks(td: TrainingData, batch: Batch, features: list[np.ndarray]):
+    """The lines of each node of `batch` over its features (indexes into
+    td.features, ascending), node by node, in chunks of about _BLOCK_CELLS
+    cells, with their candidates; chunks without one are skipped. Every
+    split search, and the feature ranking, scores these. A numeric line's
+    candidates are its cuts, between distinct present values; a categorical
+    line's are its categories, unless one holds every present row."""
+    line_node = np.arange(len(features)).repeat([len(f) for f in features])
+    line_feat = np.concatenate(features)
+    numeric = td.is_numeric[line_feat]
+    lengths = batch.lengths[line_node]
+    for lo, hi in _chunks(lengths):
+        node, m = line_node[lo:hi], lengths[lo:hi]
+        rows, cells = _sorted_lines(td, batch, node, td.value_row[line_feat[lo:hi]], m)
+        v = td.values.take(cells)
+        present = v == v  # NaN is missing
+        ends = m.cumsum() - 1
+        differs = np.ones(len(v), dtype=bool)
+        np.not_equal(v[:-1], v[1:], out=differs[:-1])
+        cut = np.zeros(len(v), dtype=bool)  # numeric cuts need a present value after them
+        np.logical_and(differs[:-1], present[1:], out=cut[:-1])
+        cut[ends] = False
+        categorical = np.flatnonzero(~numeric[lo:hi])
+        if len(categorical):  # a category's candidate is the last cell of its run
+            differs[ends] = True
+            mc, start = m[categorical], ends[categorical] - m[categorical] + 1
+            runs = _ranges(start, mc)
+            cut[runs] = differs[runs] & present[runs]
+            # ... unless one category holds every present row: it separates nothing
+            count = cut[runs].cumsum()[mc.cumsum() - 1]
+            count[1:] -= count[:-1].copy()
+            lone = np.flatnonzero(count == 1)
+            if len(lone):
+                cut[_ranges(start[lone], mc[lone])] = False
+        at = np.flatnonzero(cut)
+        line = np.searchsorted(ends, at)
+        first = (ends - m + 1)[line]
+        if len(categorical):  # a category's run begins after the previous one's
+            cat = np.searchsorted(at, runs[cut[runs]])
+            later = line[cat[1:]] == line[cat[:-1]]
+            first[cat[1:][later]] = at[cat[:-1][later]] + 1
+        if len(at):
+            yield Lines(node, line_feat[lo:hi], numeric[lo:hi], m, ends, rows, v, present,
+                        at, line, first)
+
+
+def _run_sums(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """np.sum of each run of x (runs concatenated, of `lengths`), bit for
+    bit. numpy sums each row of a C-ordered array as it sums that row alone,
+    so runs are summed as the rows of one array per width; np.add.reduceat
+    would add each run in order instead. A run of under 128 values is
+    zero-padded to the next width of 7 mod 8, which changes no sum: numpy
+    adds its last (length mod 8) values in order after the rest."""
+    starts = lengths.cumsum() - lengths
+    width = np.where(lengths < 128, lengths | 7, lengths)
+    width[lengths == 0] = 0  # an empty run sums to 0
+    order = np.argsort(width, kind="stable")
+    bounds = np.flatnonzero(np.diff(width[order], prepend=0, append=-1))
+    padded = np.append(x, 0.0)
+    out = np.zeros(len(lengths))
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        runs, w = order[lo:hi], int(width[order[lo]])
+        cells = starts[runs, None] + np.arange(w)
+        cells[np.arange(w) >= lengths[runs, None]] = len(x)  # the appended zero
+        out[runs] = padded[cells].sum(axis=1)
+    return out
+
+
+def masked_sums(amount: np.ndarray, rows: np.ndarray, m: np.ndarray, *masks) -> np.ndarray:
+    """For each mask over `rows` (runs of lengths m), the np.sum of `amount`
+    over each run's rows where the mask holds, in the order given;
+    (masks, runs)."""
+    run = np.arange(len(m)).repeat(m)
+    picked = np.concatenate([rows[mask] for mask in masks])
+    lengths = np.concatenate([np.bincount(run[mask], minlength=len(m)) for mask in masks])
+    return _run_sums(amount.take(picked), lengths).reshape(len(masks), len(m))
 
 
 def _segment_argmax(score: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -293,14 +369,6 @@ def _segments(ids: np.ndarray) -> np.ndarray:
     """Start of each run of equal values in `ids`."""
     starts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
     return np.concatenate(([0], starts))
-
-
-def _limit(score, n_left, n_node, valid, min_leaf):
-    """-inf for candidates that separate nothing or break min_leaf (a valid
-    candidate has at least one row on each side)."""
-    if min_leaf > 1:
-        valid = valid & (n_left >= min_leaf) & (n_node - n_left >= min_leaf)
-    return np.where(valid, score, -np.inf)
 
 
 class GiniSearch:
@@ -333,23 +401,21 @@ class GiniSearch:
             raise ValueError("a weighted search grows one member")
         self.members = len(counts)
         self.packed = (counts.astype(np.int64) << _PACK) | (counts * td.y)
-        if weights is not None:
-            # cumulated at the cuts: class-1 weight, rows and all weight
-            self.amounts = np.stack([weights * td.y, counts[0], weights])
         self.min_leaf = min_leaf
 
     def node(self, member: int, rows: np.ndarray, n: int | None = None,
              a: int | None = None) -> Node:
         """The node holding `rows` of a member's tree; `n` and `a` are its
         row and class-1 counts when the caller knows them."""
-        if self.weights is not None:
-            w, y = self.weights[rows], self.td.y[rows]
-            return Node(member, rows, int(self.amounts[1].take(rows).sum()),
-                        float(w[y == 1].sum() / w.sum()), bool(y.min() == y.max()))
         if n is None:
             total = int(self.packed[member].take(rows).sum())
             n, a = total >> _PACK, total & _LOW
-        return Node(member, rows, n, a / n, a == 0 or a == n, a)
+        if self.weights is None:
+            p1 = a / n
+        else:  # the class-1 share of weight
+            w = self.weights[rows]
+            p1 = float(w[self.td.y[rows] == 1].sum() / w.sum())
+        return Node(member, rows, n, p1, a == 0 or a == n, a)
 
     def root(self, member: int) -> Node:
         return self.node(member, np.flatnonzero(self.packed[member]))
@@ -363,6 +429,31 @@ class GiniSearch:
         found = self.split([self.node(0, rows)], [picked])[0]
         return None if found is None else found[:3]
 
+    def candidates(self, nodes: list[Node], batch: Batch, features: list[np.ndarray]):
+        """The line_chunks of `nodes` (rows in `batch`) with, at each
+        candidate, whether missing rows go left and the rows and class-1
+        rows going left and right, counted with multiplicity: (lines, missing
+        goes left, nL, aL, nR, aR). Counts are differences of one prefix sum
+        over the chunk, in exact int64."""
+        td = self.td
+        member = np.array([nd.member for nd in nodes], dtype=np.int64)
+        # the nodes' rows and class-1 rows, packed
+        packed = np.array([(nd.n << _PACK) | nd.a for nd in nodes], dtype=np.int64)
+        for ch in line_chunks(td, batch, features):
+            at = ch.rows
+            if self.members > 1:
+                at = at + (member[ch.node] * td.n).repeat(ch.m)
+            cs = np.zeros(len(at) + 1, dtype=np.int64)  # cs[k]: the first k cells
+            np.cumsum(self.packed.take(at) * ch.present, out=cs[1:])
+            left = cs[1:][ch.at] - cs[ch.first]
+            # packed (rows, class-1 rows) per line: present, missing, all
+            pres, node_total = cs[1:][ch.ends] - cs[ch.ends + 1 - ch.m], packed[ch.node]
+            miss_left = 2 * (left >> _PACK) > (pres >> _PACK)[ch.line]
+            go_left = left + miss_left * (node_total - pres)[ch.line]
+            go_right = node_total[ch.line] - go_left
+            yield (ch, miss_left, go_left >> _PACK, go_left & _LOW, go_right >> _PACK,
+                   go_right & _LOW)
+
     def split(self, nodes: list[Node], features: list[np.ndarray]) -> list:
         """For each node, the best split over its features (indexes into
         td.features, ascending): (condition, mask over the node's rows routed
@@ -373,13 +464,26 @@ class GiniSearch:
         Candidates are scored in chunks of lines and each node takes the
         first maximum in (feature, cut) order, the tie rule."""
         td = self.td
-        batch = _Batch(nodes)
-        feat = np.concatenate(features)
-        if self.weights is None:
-            line_node = np.arange(len(nodes)).repeat([len(f) for f in features])
-            found = self._counts(batch, line_node, feat)
-        else:
-            found = self._weighted(nodes[0], feat)
+        batch = Batch([nd.rows for nd in nodes])
+        found = []
+        for ch, miss_left, nL, aL, nR, aR in self.candidates(nodes, batch, features):
+            if self.weights is None:
+                bL, bR = nL - aL, nR - aR
+                score = ((aL * aL + bL * bL) * nR + (aR * aR + bR * bR) * nL) / (nL * nR)
+            else:
+                score = self._weighted(batch, ch, miss_left)
+            if self.min_leaf > 1:
+                score = np.where((nL >= self.min_leaf) & (nR >= self.min_leaf), score, -np.inf)
+            if len(nodes) == 1:
+                first = np.array([score.argmax()])
+            else:
+                # the first candidate of each node that has any
+                starts = np.searchsorted(ch.line, _segments(ch.node))
+                starts = starts[starts < len(ch.line)]
+                first = _segment_argmax(score, starts[_segments(starts)])
+            line = ch.line[first]
+            found.append((ch.node[line], ch.feat[line], score[first], ch.operand(first),
+                          miss_left[first], nL[first], aL[first]))
         results = [None] * len(nodes)
         if not found:
             return results
@@ -395,8 +499,7 @@ class GiniSearch:
                 x[split] for x in (node, feat, score, operand, miss_left, n_left, a_left))
             if not len(node):
                 return results
-        m = batch.lengths[node]
-        x = td.values.take(batch.line_rows(node, m) + (td.value_row[feat] * td.n).repeat(m))
+        _, x, m = batch.line_values(td, node, feat)
         op = operand.repeat(m)
         numeric = td.is_numeric[feat]
         holds = x < op if numeric.all() else np.where(numeric.repeat(m), x < op, x == op)
@@ -412,156 +515,49 @@ class GiniSearch:
             else:
                 cond = SplitCondition(name, CATEGORICAL_EQ, missing_goes=goes,
                                       category=str(td.categories[name][int(t)]))
-            rows_left, rows_right = nd.rows[mask], nd.rows[~mask]
-            if self.weights is None:
-                children = (self.node(nd.member, rows_left, nL, aL),
-                            self.node(nd.member, rows_right, nd.n - nL, nd.a - aL))
-            else:
-                children = self.node(nd.member, rows_left), self.node(nd.member, rows_right)
-            results[b] = (cond, mask, best) + children
+            results[b] = (cond, mask, best, self.node(nd.member, nd.rows[mask], nL, aL),
+                          self.node(nd.member, nd.rows[~mask], nd.n - nL, nd.a - aL))
         return results
 
-    def _counts(self, batch: _Batch, line_node: np.ndarray, line_feat: np.ndarray) -> list:
-        """Unweighted candidates, per chunk of lines: each node's best as
-        arrays (node, feature, score, threshold or category code, missing
-        goes left, rows left, class-1 rows left).
-
-        A numeric line's candidates are its cuts, between distinct present
-        values; a categorical line's are its runs of one category. The
-        prefix sums over a chunk restart at each line (at each run for a
-        category), in exact int64."""
-        td, n = self.td, self.td.n
-        line_row = td.value_row[line_feat]
-        numeric = td.is_numeric[line_feat]
-        mixed = not numeric.all()
-        lengths = batch.lengths[line_node]
-        found = []
-        for lo, hi in _chunks(lengths):
-            node, row, m = line_node[lo:hi], line_row[lo:hi], lengths[lo:hi]
-            at, cells = _sorted_lines(td, batch, node, row, m)
-            v = td.values.take(cells)
-            present = v == v  # NaN is missing
-            if self.members > 1:
-                at += (batch.member[node] * n).repeat(m)
-            cs = (self.packed.take(at) * present).cumsum()
-            ends = m.cumsum() - 1
-            differs = np.ones(len(v), dtype=bool)
-            np.not_equal(v[:-1], v[1:], out=differs[:-1])
-            cut = np.zeros(len(v), dtype=bool)  # numeric cuts need a present value after them
-            np.logical_and(differs[:-1], present[1:], out=cut[:-1])
-            cut[ends] = False
-            categorical = np.flatnonzero(~numeric[lo:hi]) if mixed else ()
-            if len(categorical):  # a category's candidate is the last cell of its run
-                differs[ends] = True
-                runs = _ranges(ends[categorical] - m[categorical] + 1, m[categorical])
-                cut[runs] = differs[runs] & present[runs]
-            at = np.flatnonzero(cut)
-            if not len(at):
-                continue
-            line = np.searchsorted(ends, at)
-            total = cs[ends]
-            before = np.concatenate(([0], total[:-1]))
-            base = before[line]
-            if len(categorical):  # a category's run starts after the previous run
-                lo_c, hi_c = (np.searchsorted(line, categorical, side) for side in ("left", "right"))
-                after = _ranges(lo_c + 1, np.maximum(hi_c - lo_c - 1, 0))
-                base[after] = cs[at[after - 1]]
-            left = cs[at] - base
-            # packed (rows, class-1 rows) per line: present, missing, all
-            pres, node_total = total - before, batch.packed[node]
-            n_pres = (pres >> _PACK)[line]
-            n_left = left >> _PACK
-            miss_left = 2 * n_left > n_pres
-            go_left = left + miss_left * (node_total - pres)[line]
-            go_right = node_total[line] - go_left
-            nL, aL, nR, aR = go_left >> _PACK, go_left & _LOW, go_right >> _PACK, go_right & _LOW
-            bL = nL - aL
-            bR = nR - aR
-            score = ((aL * aL + bL * bL) * nR + (aR * aR + bR * bR) * nL) / np.maximum(nL * nR, 1)
-            # a category holding every present row separates nothing
-            score = _limit(score, nL, nL + nR, n_left < n_pres, self.min_leaf)
-            if len(batch.n) == 1:
-                first = np.array([score.argmax()])
-            else:
-                # the first candidate of each node that has any
-                starts = np.searchsorted(line, _segments(node))
-                starts = starts[starts < len(line)]
-                first = _segment_argmax(score, starts[_segments(starts)])
-            k, line = at[first], line[first]
-            threshold = (v[k] + v[np.minimum(k + 1, len(v) - 1)]) / 2.0
-            if len(categorical):
-                threshold = np.where(numeric[lo:hi][line], threshold, v[k])
-            found.append((node[line], line_feat[lo:hi][line], score[first], threshold,
-                          miss_left[first], nL[first], aL[first]))
-        return found
-
-    def _weighted(self, nd: Node, feat: np.ndarray):
-        """As _counts, for the one node of a weighted search, keeping the
-        first maximum in (feature, cut) order as it goes. Each feature is
-        cumulated on its own, in value-sorted, stable row order, and totals
-        are summed as one run, as a per-feature scan would, so weight sums
-        match it bit for bit."""
-        td = self.td
-        rows, n_node = nd.rows, nd.n
-        best = (-np.inf, -1, 0.0, False)  # score, feature, operand, missing goes left
-        keep = np.zeros(td.n, dtype=bool)
-        keep[rows] = True
-        for block in column_blocks(feat[td.is_numeric[feat]], len(rows)):
-            cols = td.value_row[block]
-            order = node_order(td, keep, cols)
-            values, cuts, sums = cut_statistics(td, order, self.amounts, cols)
-            # per-feature present and missing weight totals, each summed as one
-            # run in sorted (present) or row (missing) order, as a scan would
-            w, wy, y = self.weights[order], self.amounts[0, order], td.y[order]
-            tot = np.zeros((4, len(order), 1))
-            for f, p in enumerate((values == values).sum(axis=1)):
-                tail_w, tail_y = w[f, p:], y[f, p:]
-                tot[:, f, 0] = (wy[f, :p].sum(), w[f, :p].sum(),
-                                tail_w[tail_y == 1].sum(), tail_w[tail_y == 0].sum())
-            a_pres, w_pres, a_miss, b_miss = tot
-            n_left, n_pres = sums[1], sums[1, :, -1:]
-            miss_left = 2 * n_left > n_pres
-            waL, cum_w = sums[0], sums[2]
-            wbL = cum_w - waL
-            waR = a_pres - waL
-            wbR = w_pres - cum_w - waR
-            score = _score_candidates_weighted(
-                waL + np.where(miss_left, a_miss, 0.0), wbL + np.where(miss_left, b_miss, 0.0),
-                waR + np.where(miss_left, 0.0, a_miss), wbR + np.where(miss_left, 0.0, b_miss))
-            score = _limit(score, n_left + miss_left * (n_node - n_pres), n_node, cuts,
-                           self.min_leaf)
-            f, k = divmod(int(score.argmax()), score.shape[1])
-            if score[f, k] > best[0]:
-                best = (float(score[f, k]), int(block[f]),
-                        float((values[f, k] + values[f, k + 1]) / 2.0), bool(miss_left[f, k]))
-        w, y = self.weights[rows], td.y[rows]
-        wa, wb = float(w[y == 1].sum()), float(w[y == 0].sum())
-        counts = self.amounts[1, rows]
-        for f in feat[~td.is_numeric[feat]].tolist():
-            categories = td.categories[td.features[f]]
-            codes = td.codes[td.features[f]][rows]
-            present = codes >= 0
-            n_eq = category_sums(codes, len(categories), counts)
-            n_pres = int(counts[present].sum())
-            valid = (n_eq > 0) & (n_eq < n_pres)
-            if not valid.any():
-                continue
-            # weight sums over each left branch, missing rows included, in row order
-            miss_left = 2 * n_eq > n_pres
-            left_sums = np.zeros((2, len(categories)))
-            for k in np.nonzero(valid)[0]:
-                left = (codes == k) | (~present & miss_left[k])
-                wl, yl = w[left], y[left]
-                left_sums[:, k] = (wl[yl == 1].sum(), wl[yl == 0].sum())
-            score = _score_candidates_weighted(left_sums[0], left_sums[1],
-                                               wa - left_sums[0], wb - left_sums[1])
-            score = _limit(score, n_eq + miss_left * (n_node - n_pres), n_node, valid,
-                           self.min_leaf)
-            k = int(score.argmax())
-            if score[k] > best[0] or (score[k] == best[0] > -np.inf and f < best[1]):
-                best = (float(score[k]), f, float(k), bool(miss_left[k]))
-        if best[0] == -np.inf:
-            return []
-        zero = np.zeros(1, dtype=np.int64)
-        return [(zero, np.array([best[1]]), np.array([best[0]]), np.array([best[2]]),
-                 np.array([best[3]]), zero, zero)]
+    def _weighted(self, batch: Batch, ch: Lines, miss_left: np.ndarray) -> np.ndarray:
+        """Weighted Gini scores of a chunk's candidates, in the one node of a
+        weighted search, so every line holds the node's rows. Weight sums
+        add as a scan of each feature would: running sums in the line's
+        order, and totals and category sums pairwise over their rows."""
+        td, line = self.td, ch.line
+        amounts = np.stack([self.weights * td.y, self.weights])
+        # numeric cuts: class-1 and all weight of the present rows up to the cut
+        sums = ch.running_sums(amounts)
+        waL, cum_w = sums[:, ch.at]
+        # per line: class-1 and all weight present, class-1 and class-0 missing;
+        # a line without missing rows sums its whole row
+        a_pres, w_pres = amounts.take(ch.rows, axis=1).reshape(2, len(ch.m), -1).sum(axis=2)
+        a_miss, b_miss = np.zeros((2, len(ch.m)))
+        partial = np.flatnonzero(~ch.present[ch.ends])
+        if len(partial):
+            m = ch.m[partial]
+            cells = _ranges(ch.ends[partial] - m + 1, m)
+            rows, present = ch.rows[cells], ch.present[cells]
+            missing = np.where(present, -1, td.y.take(rows))
+            a_pres[partial] = masked_sums(amounts[0], rows, m, present)[0]
+            w_pres[partial], a_miss[partial], b_miss[partial] = masked_sums(
+                amounts[1], rows, m, present, missing == 1, missing == 0)
+        L1 = waL + np.where(miss_left, a_miss[line], 0.0)
+        L0 = cum_w - waL + np.where(miss_left, b_miss[line], 0.0)
+        waR = a_pres[line] - waL
+        R1 = waR + np.where(miss_left, 0.0, a_miss[line])
+        R0 = w_pres[line] - cum_w - waR + np.where(miss_left, 0.0, b_miss[line])
+        cat = np.flatnonzero(~ch.numeric[line])
+        if len(cat):  # a category's left branch: its rows, and missing ones with it
+            rows, x, m = batch.line_values(td, ch.node[line[cat]], ch.feat[line[cat]])
+            left = (x == ch.values[ch.at[cat]].repeat(m)) | (np.isnan(x) & miss_left[cat].repeat(m))
+            y_rows = td.y.take(rows)
+            L1[cat], L0[cat] = masked_sums(self.weights, rows, m, left & (y_rows == 1),
+                                           left & (y_rows == 0))
+            wn, yn = self.weights[batch.rows], td.y[batch.rows]
+            R1[cat] = wn[yn == 1].sum() - L1[cat]
+            R0[cat] = wn[yn == 0].sum() - L0[cat]
+        WL, WR = L1 + L0, R1 + R0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            score = (L1 * L1 + L0 * L0) / WL + (R1 * R1 + R0 * R0) / WR
+        return np.where((WL > 0) & (WR > 0), score, -np.inf)

@@ -308,10 +308,16 @@ def rank_predictions(billing_ids: list[str], scores, direction: str,
 def cmd_predict(cfg: PipelineConfig, holdout: bool = False) -> str:
     model = _load_final_model(cfg)
     matrix = read_matrix(cfg.path("test.csv"))
-    missing = sorted(model_features(model).keys() - set(matrix.feature_names))
+    kinds = model_features(model)
+    missing = sorted(kinds.keys() - set(matrix.feature_names))
     if missing:
         raise ValueError(f"{cfg.path('test.csv')} lacks feature columns the model uses: "
                          f"{', '.join(missing)}")
+    differ = [f"{f} is {matrix.kinds[f]}, the model reads it as {kind}"
+              for f, kind in sorted(kinds.items()) if matrix.kinds[f] != kind]
+    if differ:
+        raise ValueError(f"{cfg.path('test.csv')} has feature kinds the model does not read: "
+                         f"{'; '.join(differ)}")
     scores, predicted = predict_matrix(model, matrix)
     top_n = cfg.top_n if cfg.top_n is not None else 100
     ranked = rank_predictions(matrix.billing_ids, scores, cfg.task.direction, top_n)

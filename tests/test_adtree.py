@@ -88,6 +88,97 @@ def z_oracle_round1_counts(matrix):
     return None if best is None else (best[1], best[2])
 
 
+def _fsum_value(w1, w0):
+    return 0.5 * math.log((w1 + 1.0) / (w0 + 1.0))
+
+
+def _z_candidates(columns, kinds, y, w, reach):
+    """Every (z, node, feature, operand) of one round, row by row with fsum:
+    node is the prediction node's creation index, `reach` its rows. Rows
+    missing the feature fall in neither branch."""
+    total = math.fsum(w)
+    found = []
+    for node, rows in enumerate(reach):
+        for feature in sorted(columns):
+            col = columns[feature]
+            present = [i for i in rows if not is_missing(col[i])]
+            values = sorted({col[i] for i in present})
+            if kinds[feature] == "numeric":
+                tests = [((lo + hi) / 2.0, lambda v, t=(lo + hi) / 2.0: v < t)
+                         for lo, hi in zip(values, values[1:])]
+            else:
+                tests = [(c, lambda v, c=c: v == c) for c in values] if len(values) > 1 else []
+            for operand, holds in tests:
+                yes = [i for i in present if holds(col[i])]
+                no = [i for i in present if not holds(col[i])]
+                w1y, w0y, w1n, w0n = (math.fsum(w[i] for i in side if y[i] == c)
+                                      for side in (yes, no) for c in (1, 0))
+                z = (2.0 * (math.sqrt(w1y * w0y) + math.sqrt(w1n * w0n))
+                     + (total - math.fsum(w[i] for i in present)))
+                found.append((z, node, feature, operand))
+    return found
+
+
+def test_every_round_matches_z_reference():
+    """Each round's pick is a minimum-Z (node, condition) pair of a row-by-row
+    reference, and the tie order's pick (earliest node, then feature name,
+    then threshold or category) whenever the runner-up is 1e-9 away. The
+    reference replays the model's picks, with its own fsum weights."""
+    rng = np.random.default_rng(1023)
+    picked = separated = 0
+    for _ in range(250):
+        n = int(rng.integers(4, 30))
+        columns, kinds = {}, {}
+        for j in range(int(rng.integers(1, 4))):
+            x = rng.integers(0, int(rng.integers(2, 6)), n) * float(rng.choice([1.0, 0.3]))
+            x[rng.random(n) < rng.choice([0.0, 0.25])] = np.nan
+            columns[f"x{j}"] = [None if np.isnan(v) else float(v) for v in x]
+            kinds[f"x{j}"] = "numeric"
+        if rng.random() < 0.6:
+            name = str(rng.choice(["a_loc", "x1_loc", "z_loc"]))
+            cats = np.array(["A", "B", "C", None], dtype=object)
+            columns[name], kinds[name] = list(cats[rng.integers(0, 4, n)]), "categorical"
+        y = rng.integers(0, 2, n).tolist()
+        rounds = int(rng.integers(1, 6))
+        model = train_adtree(make_matrix(columns, labels=y, kinds=kinds), n_boost_rounds=rounds)
+        value = _fsum_value(sum(y), n - sum(y))
+        assert model.root.value == pytest.approx(value, rel=1e-12, abs=1e-15)
+        w = [math.exp(-(1.0 if c else -1.0) * value) for c in y]
+        nodes, reach = [model.root], [list(range(n))]
+        splitters = {sp.index: sp for sp in model.iter_splitters()}
+        for round_no in range(1, rounds + 1):
+            found = sorted(_z_candidates(columns, kinds, y, w, reach))
+            if round_no > len(splitters):  # training stops only when nothing splits
+                assert not found
+                break
+            sp = splitters[round_no]
+            cond = sp.condition
+            node = next(k for k, p in enumerate(nodes) if any(s is sp for s in p.splitters))
+            operand = cond.threshold if cond.kind == "numeric_lt" else cond.category
+            z = next(c[0] for c in found if c[1:] == (node, cond.feature, operand))
+            best = found[0]
+            assert z == pytest.approx(best[0], rel=1e-12, abs=1e-300)
+            runner_up = found[1][0] if len(found) > 1 else math.inf
+            if runner_up > best[0] * (1 + 1e-9):
+                assert (node, cond.feature, operand) == best[1:]
+                separated += 1
+            picked += 1
+            col = columns[cond.feature]
+            yes = [i for i in reach[node] if not is_missing(col[i])
+                   and (col[i] < cond.threshold if cond.kind == "numeric_lt"
+                        else col[i] == cond.category)]
+            no = [i for i in reach[node] if not is_missing(col[i]) and i not in yes]
+            for child, rows in ((sp.yes, yes), (sp.no, no)):
+                value = _fsum_value(math.fsum(w[i] for i in rows if y[i] == 1),
+                                    math.fsum(w[i] for i in rows if y[i] == 0))
+                assert child.value == pytest.approx(value, rel=1e-9, abs=1e-12)
+                for i in rows:
+                    w[i] *= math.exp(-(1.0 if y[i] else -1.0) * value)
+                nodes.append(child)
+                reach.append(rows)
+    assert picked > 600 and separated > 500
+
+
 def _first_splitter(model):
     for sp in model.root.splitters:
         if sp.index == 1:

@@ -4,6 +4,9 @@ import shutil
 import numpy as np
 import pytest
 
+from conftest import make_matrix
+
+from churnforge import read_matrix, save_model, train_cart, write_matrix
 from churnforge.cli import main
 from churnforge.tasks import rank_predictions
 
@@ -192,3 +195,24 @@ def test_bad_config_value_names_its_key(tmp_path, capsys, line, message):
     assert main(["generate", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "data").exists()
+
+
+def test_predict_rejects_a_feature_read_as_another_kind(tmp_path, capsys):
+    """A categorical column whose cells are all digits reads back as numeric;
+    predict names it rather than scoring its codes as numbers."""
+    loc = ["7", "7", "9", "9", "A5", "7", "9", "A5"]
+    train_m = make_matrix({"loc": loc, "x": [1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0]},
+                          labels=[1, 1, 0, 0, 0, 1, 0, 0], kinds={"loc": "categorical"})
+    model = train_cart(train_m, max_depth=2)
+    assert model.root.condition.feature == "loc"
+    save_model(model, str(tmp_path / "task1_model.cfm"))
+    write_matrix(make_matrix({"loc": ["7", "9", "7"], "x": [1.0, 2.0, 2.0]},
+                             kinds={"loc": "categorical"}), str(tmp_path / "task1_test.csv"))
+    assert read_matrix(str(tmp_path / "task1_test.csv")).kinds["loc"] == "numeric"
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"data_dir = {tmp_path}\nout_dir = {tmp_path}\n", encoding="utf-8")
+    assert main(["predict", "--task", "1", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'task1_test.csv'} has feature kinds the model does not read: "
+        "loc is numeric, the model reads it as categorical\n")
+    assert not (tmp_path / "task1_predictions.csv").exists()

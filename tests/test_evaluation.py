@@ -1,9 +1,13 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from churnforge import (ConfusionMatrix, LearnerSpec, compare_learners, confusion,
                         rank_features, select_best, stratified_kfold)
 from churnforge.evaluation import EvalReport
+from churnforge.features import is_missing
 from conftest import make_matrix
 
 
@@ -177,6 +181,60 @@ def test_rank_features_deterministic_and_tie_stable():
     assert [name for name, _ in ranking] == ["a", "b", "c"]
     assert all(gain == 0.0 for _, gain in ranking)
     assert rank_features(m) == rank_features(m)
+
+
+def _reference_gain(col, kind, y):
+    """Row-by-row information gain of a feature's best single binary split;
+    missing rows go with the side holding more present rows (ties right)."""
+    def entropy(rows):
+        ones = sum(y[i] for i in rows)
+        return -sum(p * math.log2(p) for p in (ones / len(rows), 1 - ones / len(rows)) if p)
+
+    everyone = range(len(y))
+    present = [i for i in everyone if not is_missing(col[i])]
+    values = sorted({col[i] for i in present})
+    if kind == "numeric":
+        tests = [lambda v, t=(lo + hi) / 2.0: v < t for lo, hi in zip(values, values[1:])]
+    else:
+        tests = [lambda v, c=c: v == c for c in values]
+    best = 0.0
+    for holds in tests:
+        yes = [i for i in present if holds(col[i])]
+        if not 0 < len(yes) < len(present):
+            continue
+        left = set(yes) | ({i for i in everyone if is_missing(col[i])}
+                           if 2 * len(yes) > len(present) else set())
+        right = [i for i in everyone if i not in left]
+        h = len(left) / len(y) * entropy(left) + len(right) / len(y) * entropy(right)
+        best = max(best, entropy(everyone) - h)
+    return best
+
+
+def test_rank_features_matches_row_by_row_reference():
+    rng = np.random.default_rng(2013)
+    ordered = 0
+    for _ in range(120):
+        n = int(rng.integers(2, 60))
+        columns, kinds = {}, {}
+        for j in range(int(rng.integers(1, 5))):
+            x = rng.integers(0, int(rng.integers(1, 8)), n) * float(rng.choice([1.0, 0.1]))
+            x[rng.random(n) < rng.choice([0.0, 0.2, 0.6])] = np.nan
+            columns[f"x{j}"] = [None if np.isnan(v) else float(v) for v in x]
+            kinds[f"x{j}"] = "numeric"
+        if rng.random() < 0.7:
+            name = str(rng.choice(["a_loc", "x1_loc", "z_loc"]))
+            cats = np.array(["A", "B", "C", None, float("nan")], dtype=object)
+            columns[name], kinds[name] = list(cats[rng.integers(0, 5, n)]), "categorical"
+        y = rng.integers(0, 2, n).tolist()
+        ranking = rank_features(make_matrix(columns, labels=y, kinds=kinds))
+        expected = {f: _reference_gain(columns[f], kinds[f], y) for f in columns}
+        assert dict(ranking) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        assert sorted(name for name, _ in ranking) == sorted(columns)
+        for (a, _), (b, _) in itertools.combinations(ranking, 2):
+            if abs(expected[a] - expected[b]) > 1e-9:
+                assert expected[a] > expected[b]
+                ordered += 1
+    assert ordered > 400
 
 
 def test_rank_features_top_n():

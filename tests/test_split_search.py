@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from churnforge import LearnerSpec, train
+from churnforge import LearnerSpec, rank_features, train
 from churnforge.features import is_missing
-from churnforge.learners.conditions import GiniSearch, TrainingData
+from churnforge.learners.conditions import GiniSearch, TrainingData, _run_sums
 from churnforge.model_io import model_to_dict
 from conftest import make_matrix
 
@@ -171,3 +171,72 @@ def test_split_search_matches_brute_force_reference():
         assert got == _reference_split(matrix, counts, weights, min_leaf, list(rows))
         compared += got is not None
     assert compared > 200
+
+
+def test_run_sums_equal_np_sum_of_each_run():
+    """Weight totals and category sums keep np.sum's pairwise association
+    however runs are batched, so near-ties resolve as they always have."""
+    rng = np.random.default_rng(8)
+    for trial in range(300):
+        lengths = rng.integers(0, int(rng.choice([9, 140, 700])), int(rng.integers(1, 12)))
+        if trial % 60 == 0:
+            lengths[0] = int(rng.integers(5000, 20000))
+        x = rng.random(int(lengths.sum())) * float(rng.choice([1e-3, 1.0, 1e5]))
+        starts = lengths.cumsum() - lengths
+        expected = [x[s:s + m].sum() for s, m in zip(starts, lengths)]
+        assert _run_sums(x, lengths).tolist() == expected
+
+
+# ---------------------------------------------------------------------------
+# a corpus pin for the weighted learners and the ranking
+# ---------------------------------------------------------------------------
+
+# sha256 over model_to_dict of AdaBoost (stump and cart bases) and ADTree and
+# the repr of every rank_features gain, on _corpus_matrix() cases. Boosting
+# weights are not dyadic, so the digest moves if any float sum of the split
+# search changes its association; it holds on GOLDEN_NUMPY only.
+CORPUS_DIGEST = "683c423d5dbcf7f6ab155c34b1be51cbcf8059d0ae146b360ed547e007ac5316"
+CORPUS_SPECS = (
+    LearnerSpec("adaboost", n_boost_rounds=4, base_algorithm="stump"),
+    LearnerSpec("adaboost", n_boost_rounds=3, base_algorithm="cart", max_depth=3, min_leaf=2),
+    LearnerSpec("adtree", n_boost_rounds=6),
+)
+
+
+def _corpus_matrix(rng):
+    """30-300 rows: rounded numeric columns (ties) with NaN, sometimes one
+    a copy of another, and a categorical column with None and NaN. Sometimes
+    a numeric column splits as one category does, so a numeric and a
+    categorical candidate tie up to how their sums associate."""
+    n = int(rng.integers(30, 301))
+    signal = rng.normal(size=n)
+    labels = (signal + rng.normal(size=n) > rng.normal(scale=0.5)).astype(int)
+    cols, kinds = {}, {}
+    for j in range(int(rng.integers(1, 5))):
+        x = (signal * rng.uniform(0.0, 2.0) + rng.normal(size=n)).round(int(rng.integers(0, 3)))
+        x[rng.random(n) < rng.choice([0.0, 0.1, 0.4])] = np.nan
+        cols[f"x{j}"] = [None if np.isnan(v) else float(v) for v in x]
+        kinds[f"x{j}"] = "numeric"
+    if rng.random() < 0.2:
+        cols["x9"], kinds["x9"] = list(cols["x0"]), "numeric"
+    cats = np.array(["A", "B", "C", "D", None, float("nan")], dtype=object)
+    codes = np.where(signal > 1.0, 0, rng.integers(1, 6, n))
+    name = str(rng.choice(["a_loc", "x1_loc", "z_loc"]))
+    cols[name], kinds[name] = list(cats[codes]), "categorical"
+    if rng.random() < 0.5:  # a numeric cut that splits the rows as `== "A"` does
+        cols["x8"] = [None if c > 3 else float(c == 0) for c in codes]
+        kinds["x8"] = "numeric"
+    return make_matrix(cols, labels=labels.tolist(), kinds=kinds)
+
+
+@pytest.mark.skipif(".".join(np.__version__.split(".")[:2]) != GOLDEN_NUMPY,
+                    reason=f"golden digests were captured with numpy {GOLDEN_NUMPY}")
+def test_weighted_learners_and_ranking_corpus_digest():
+    rng = np.random.default_rng(1999)
+    digest = hashlib.sha256()
+    for _ in range(150):
+        matrix = _corpus_matrix(rng)
+        for spec in CORPUS_SPECS:
+            digest.update(json.dumps(model_to_dict(train(matrix, spec)), sort_keys=True).encode())
+        digest.update(repr(rank_features(matrix)).encode())
+    assert digest.hexdigest() == CORPUS_DIGEST

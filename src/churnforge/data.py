@@ -12,7 +12,7 @@ import array
 import csv
 import dataclasses
 import datetime as dt
-import itertools
+import io
 import operator
 import os
 from collections.abc import Iterable, Sequence
@@ -98,13 +98,13 @@ def _concat(a, b):
     return np.concatenate([a, b]) if isinstance(a, np.ndarray) else a + b
 
 
-def _ordered_pairs(column) -> tuple[np.ndarray, np.ndarray]:
-    """(column[i] < column[i+1], column[i] == column[i+1]) for every i."""
-    if isinstance(column, np.ndarray):
-        return column[:-1] < column[1:], column[:-1] == column[1:]
-    n = max(len(column) - 1, 0)
-    return tuple(np.fromiter(map(op, column, itertools.islice(column, 1, None)), bool, n)
-                 for op in (operator.lt, operator.eq))
+def _key_order(columns: list[np.ndarray]) -> np.ndarray | None:
+    """The stable order of the rows sorted by ``columns`` (first key
+    first), or None when they are in that order already."""
+    in_order = np.ones(max(len(columns[0]) - 1, 0), dtype=bool)
+    for column in reversed(columns):  # row i vs i+1, from the last key to the first
+        in_order = (column[:-1] < column[1:]) | ((column[:-1] == column[1:]) & in_order)
+    return None if in_order.all() else np.lexsort(columns[::-1])
 
 
 class Table(Sequence):
@@ -174,15 +174,9 @@ class Table(Sequence):
     def key_order(self, keys) -> list[int] | None:
         """The stable row order sorted by the ``keys`` fields, or None when
         the rows are in that order already."""
-        columns = [self.column(k) for k in keys]
-        in_order = np.ones(max(len(self) - 1, 0), dtype=bool)
-        for column in reversed(columns):  # row i vs i+1, from the last key to the first
-            lt, eq = _ordered_pairs(column)
-            in_order = lt | (eq & in_order)
-        if in_order.all():
-            return None
-        columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-        return sorted(range(len(self)), key=list(zip(*columns)).__getitem__)
+        order = _key_order([c if isinstance(c, np.ndarray) else _distinct(c, sort=True)[1]
+                            for c in map(self.column, keys)])
+        return None if order is None else order.tolist()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Table):
@@ -255,10 +249,6 @@ SORT_KEYS = {  # the row order of each file
 }
 _DATES = {"activation_date", "customer_since", "termination_date", "comeback_date",
           "request_date"}
-# rows formatted at a time: fewer than the collector's first-generation
-# threshold (700), so the per-row lists of a block are freed before a
-# collection would walk them
-_BLOCK_ROWS = 512
 # a plain file is split into fields this many bytes (of whole lines) at a
 # time, which bounds the masks and offsets the split makes
 _SPLIT_BYTES = 1 << 20
@@ -267,39 +257,247 @@ _SPLIT_BYTES = 1 << 20
 _GATHER_BYTES = 64
 
 
-def _format(name: str, values) -> list[str]:
-    """The CSV text of one column's values."""
-    if name == "month":
-        indexes = values.tolist()
-        text = {i: str(Month.from_index(i)) for i in set(indexes)}
-        return [text[i] for i in indexes]
-    if isinstance(values, np.ndarray):
-        return list(map(repr if values.dtype.kind == "f" else str, values.tolist()))
-    if name in _DATES:
-        return ["" if d is None else d.isoformat() for d in values]
-    return values
+# fields formatted and assembled at a time (16,384 rows of billing, 4,519 of
+# a 29-column matrix): bounds the writer's temporaries to a few MB. On the
+# cli-ingest benchmark (2-vCPU host), 2**15 and 2**16 read a peak RSS
+# 1.5-2 MB above the csv.writer code's and 2**17 the same; smaller blocks
+# are also slower
+_WRITE_FIELDS = 1 << 17
+_POW10 = np.array([float(10**k) for k in range(19)])
+_POW10_INT = np.uint64(10) ** np.arange(19, dtype=np.uint64)
+
+
+def _chunk_tables():
+    """The text, length and trailing zeros of each int of up to 4 digits."""
+    chunks = np.arange(10000)
+    text = np.stack([np.repeat(np.tile(np.arange(48, 58, dtype=np.uint8), 10**(3 - j)), 10**j)
+                     for j in (3, 2, 1, 0)], axis=1)
+    length = 1 + (chunks >= 10) + (chunks >= 100) + (chunks >= 1000)
+    zeros = sum(chunks % 10**j == 0 for j in range(1, 5))
+    return text, length.astype(np.uint8), zeros.astype(np.uint8)
+
+
+_DIGITS4, _LENGTH4, _ZEROS4 = _chunk_tables()
+_TEXT4 = _DIGITS4.view(np.uint32).ravel()  # each as one 4-byte item
+_RUNS = np.tri(65, 64, -1, dtype=bool)  # row i: i flags set, then clear
+
+# A field writer is (width, fill): ``fill(cells, keep)`` writes a column's
+# fields into byte matrices of ``width`` columns, one row per field, whose
+# text is ``cells[i][keep[i]]``.
+
+
+def _runs(lengths: np.ndarray, width: int, right: bool = False) -> np.ndarray:
+    """Rows of ``width`` flags, the first (``right``: last) ``lengths[i]`` set."""
+    table = _RUNS[:width + 1, :width] if width < len(_RUNS) else np.tri(
+        width + 1, width, -1, dtype=bool)
+    return np.take(table[:, ::-1] if right else table, lengths, axis=0)
+
+
+def _write_whole(cells, keep, values: np.ndarray, neg: np.ndarray) -> None:
+    """Write non-negative ints ``values`` right-aligned into all columns of
+    ``cells`` and ``keep``, "-" before those of the ``neg`` rows."""
+    width = cells.shape[1]
+    if values.max(initial=0) < 2**32:
+        values = values.astype(np.uint32)  # faster division
+    size = np.empty(len(values), np.intp)
+    digits = np.empty((len(values), 2), np.uint32)  # two 4-digit texts
+    rows = slice(None)
+    for end in range(width, 0, -8):  # eight digits at a time, from the last
+        quotient = values // 10**8
+        low = values - quotient * 10**8
+        high = low // 10000
+        low -= high * 10000
+        digits[:, 0], digits[:, 1] = _TEXT4[high], _TEXT4[low]
+        cells[rows, max(end - 8, 0):end] = digits.view(np.uint8)[:, max(8 - end, 0):]
+        size[rows] = width - end + np.where(high > 0, 4 + _LENGTH4[high], _LENGTH4[low])
+        more = quotient > 0
+        if not more.any():
+            break
+        rows = np.flatnonzero(more) if isinstance(rows, slice) else rows[more]
+        values, digits = quotient[more], digits[more]
+    size += neg
+    keep[:] = _runs(size, width, right=True)
+    rows = np.flatnonzero(neg)
+    cells[rows, width - size[rows]] = 45
+
+
+def _int_field(values: np.ndarray):
+    """The field writer of ints as ``str`` writes them."""
+    neg = values < 0
+    u = values.astype(np.uint64)
+    np.negative(u, out=u, where=neg)  # |value|, -2**63 included
+    return (len(str(u.max(initial=0))) + bool(neg.any()),
+            lambda cells, keep: _write_whole(cells, keep, u, neg))
+
+
+def _float_field(values: np.ndarray, nan: str):
+    """The field writer of floats as ``repr`` writes them, NaN as ``nan``.
+
+    A value that is m / 10**k for an int m < 10**15 (at most 15
+    significant digits) in fixed notation (zero or 1e-4 <= |value| <
+    1e15) is written from its digits, k of them after the point (the
+    least such k; "0" if it is 0): no other string of at most 15 digits
+    reads back as the same float, so it is the shortest that does, which
+    is ``repr``'s. Every other value goes through ``repr``.
+    """
+    a = np.abs(values)
+    fixed = (a >= 1e-4) & (a < 1e15)
+    # scaled by 10**e, e = 15 - its integer digits, a value of at most 15
+    # significant digits is an int m < 10**15 with m / 10**e == value
+    e = 14 - np.floor(np.log10(a, where=fixed, out=np.zeros(len(a))))
+    e = np.minimum(np.maximum(e, 0), 18).astype(np.intp)
+    scale = _POW10[e]
+    m = np.rint(np.multiply(a, scale, where=fixed, out=np.zeros(len(a))))
+    exact = (a == 0) | (fixed & (m < 1e15) & (m / scale == a))
+    # the integer part is floor(value): m / 10**e is the only decimal of at
+    # most 15 digits that reads back as the value, so no integer lies between
+    whole = np.floor(a, where=exact, out=np.zeros(len(a)))
+    e[~exact] = 0
+    top = int(e.max(initial=0))
+    # the digits after the point, as a ``top``-digit int (below 2**63)
+    frac = np.where(exact, m - whole * scale, 0).astype(np.uint64) * _POW10_INT[top - e]
+    k = np.zeros(len(a), np.intp)  # digits after the point up to the last nonzero one
+    chunks, rows = [], slice(None)
+    for start in range(0, top, 4):  # four digits at a time, from the first
+        shift = top - start - 4
+        chunk = frac // _POW10_INT[max(shift, 0)] * _POW10_INT[max(-shift, 0)]
+        k[rows] = np.where(chunk > 0, start + 4 - _ZEROS4[chunk], k[rows])
+        chunks.append((rows, start, chunk))
+        frac = frac - chunk // _POW10_INT[max(-shift, 0)] * _POW10_INT[max(shift, 0)]
+        more = frac > 0
+        if not more.any():
+            break
+        rows = np.flatnonzero(more) if isinstance(rows, slice) else rows[more]
+        frac = frac[more]
+    neg = np.signbit(values) & exact
+    dot = len(str(int(whole.max(initial=0)))) + bool(neg.any())
+    point = max(int(k.max(initial=0)), 1)
+    rest = np.flatnonzero(~exact)
+    texts = list(map(repr, values[rest].tolist()))
+    for i in np.flatnonzero(np.isnan(values[rest])).tolist():
+        texts[i] = nan
+    texts, size = _text_table(texts)
+
+    def fill(cells, keep):
+        _write_whole(cells[:, :dot], keep[:, :dot], whole.astype(np.uint64), neg)
+        cells[:, dot] = 46
+        cells[:, dot + 1] = 48  # "0" after the point of an integer
+        keep[:, dot] = True
+        for rows, start, chunk in chunks:
+            if start < point:
+                cells[rows, dot + 1 + start:dot + 1 + min(start + 4, point)] = np.take(
+                    _DIGITS4, chunk, axis=0)[:, :point - start]
+        keep[:, dot + 1:dot + 1 + point] = _runs(np.maximum(k, 1), point)
+        keep[:, dot + 1 + point:] = False
+        if len(rest):
+            cells[rest, :texts.shape[1]] = texts
+            keep[rest] = _runs(size, cells.shape[1])
+    return max(dot + 1 + point, texts.shape[1]), fill
+
+
+def _text_table(texts: list[str]):
+    """(table, sizes): row i of the byte matrix ``table`` holds the UTF-8
+    of ``texts[i]``, ``sizes[i]`` bytes long."""
+    if not "".join(texts).isascii():
+        texts = [t.encode() for t in texts]
+    size = np.fromiter(map(len, texts), np.int64, len(texts))
+    width = max(int(size.max(initial=0)), 1)
+    return np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(len(texts), width), size
+
+
+def _fields(texts: list[str], alone: bool) -> list[str]:
+    """``texts`` as ``csv.writer`` writes them as fields; ``alone``: each is
+    the only field of its row, where an empty text is written quoted."""
+    if not any(c in "".join(texts) for c in ',"\r\n') and not (alone and "" in texts):
+        return texts
+    quoted = []
+    for text in texts:
+        if any(c in text for c in ',"\r\n') or (alone and not text):
+            out = io.StringIO()
+            csv.writer(out, lineterminator="\n").writerow([text])
+            text = out.getvalue()[:-1]
+        quoted.append(text)
+    return quoted
+
+
+def _distinct(values, text=None, sort=False) -> tuple[list, np.ndarray]:
+    """The distinct ``values`` (as ``text(value)``, if given), in order of
+    first appearance or, with ``sort``, sorted, and each value's index
+    into them."""
+    index = dict.fromkeys(values)
+    index = {v: i for i, v in enumerate(sorted(index) if sort else index)}
+    codes = np.fromiter(map(index.__getitem__, values), np.intp, len(values))
+    return list(map(text, index) if text else index), codes
+
+
+def _write_csv(path: str, header: list[str], columns: list, rows: np.ndarray,
+               nan: str = "nan") -> None:
+    """Write ``header`` and the ``rows`` (positions, in order) of ``columns``
+    as ``csv.writer`` writes them, with LF line ends.
+
+    A column is an int or float array, or ``(texts, codes)``: its distinct
+    texts and each row's index into them. Ints are written as ``str`` and
+    floats as ``repr`` writes them (NaN as ``nan``), formatted with numpy;
+    a text holding a comma, quote, CR or LF is quoted by ``csv.writer``,
+    once per distinct text. Lines are assembled as bytes, about
+    ``_WRITE_FIELDS`` fields at a time.
+    """
+    texts = {}  # column -> (bytes, mask) of each distinct text
+    for j, column in enumerate(columns):
+        if isinstance(column, tuple):
+            table, size = _text_table(_fields(column[0], len(columns) == 1))
+            texts[j] = table, _runs(size, table.shape[1])
+
+    def text_field(table, mask, codes):
+        def fill(cells, keep):
+            cells[:], keep[:] = np.take(table, codes, axis=0), np.take(mask, codes, axis=0)
+        return table.shape[1], fill
+
+    with open(path, "wb") as f:
+        f.write((",".join(_fields(header, len(header) == 1)) + "\n").encode())
+        block = max(_WRITE_FIELDS // len(columns), 1)
+        for start in range(0, len(rows), block):
+            at = rows[start:start + block]
+            fields = [text_field(*texts[j], column[1][at]) if j in texts
+                      else _float_field(column[at], nan) if column.dtype.kind == "f"
+                      else _int_field(column[at]) for j, column in enumerate(columns)]
+            width = sum(w + 1 for w, _ in fields)
+            line, keep = np.empty((len(at), width), np.uint8), np.empty((len(at), width), bool)
+            p = 0
+            for w, fill in fields:  # each field, then a comma
+                fill(line[:, p:p + w], keep[:, p:p + w])
+                line[:, p + w], keep[:, p + w] = 44, True
+                p += w + 1
+            line[:, -1] = 10  # the last comma ends the line
+            f.write(line.ravel()[keep.ravel()])
 
 
 def write_tables(dataset: TelcoDataset, directory: str) -> None:
     """Write the four tables as CSV, rows sorted by primary key.
 
     Output is byte-deterministic for a given dataset: fixed header order,
-    sorted rows, LF line endings, UTF-8, fields quoted as ``csv.writer``
-    quotes them.
+    sorted rows, LF line endings, UTF-8, ints as ``str`` and floats as
+    ``repr`` writes them, fields quoted as ``csv.writer`` quotes them.
+    Columns are formatted whole (ids, codes, dates and months once per
+    distinct text) and rows written a block at a time (``_write_csv``).
     """
     os.makedirs(directory, exist_ok=True)
     for name, keys in SORT_KEYS.items():
         table = getattr(dataset, name)
-        order = table.key_order(keys)
-        if order is not None:
-            table = table.take(order)
-        with open(os.path.join(directory, FILENAMES[name]), "w", encoding="utf-8",
-                  newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(table.names)
-            for start in range(0, len(table), _BLOCK_ROWS):
-                block = slice(start, start + _BLOCK_ROWS)
-                w.writerows(zip(*(_format(n, table.column(n)[block]) for n in table.names)))
+        columns = []
+        for field in table.names:
+            column = table.column(field)
+            if field == "month":
+                indexes, codes = np.unique(column, return_inverse=True)
+                columns.append(([str(Month.from_index(i)) for i in indexes.tolist()], codes))
+            elif isinstance(column, np.ndarray):
+                columns.append(column)
+            else:
+                text = (lambda d: "" if d is None else d.isoformat()) if field in _DATES else None
+                columns.append(_distinct(column, text, sort=field in keys))
+        order = _key_order([columns[table.names.index(k)][1] for k in keys])
+        _write_csv(os.path.join(directory, FILENAMES[name]), table.names, columns,
+                   np.arange(len(table)) if order is None else order)
 
 
 def _plain_fields(raw: bytes):
@@ -354,9 +552,6 @@ def _csv_fields(path: str):
     bounds = np.cumsum(np.concatenate([[-1], np.asarray(lengths) + 1]))
     return (header, np.frombuffer(buf, np.uint8), np.asarray(widths),
             bounds.astype(np.int32 if len(buf) < 2**31 else np.int64), error)
-
-
-_POW10 = np.array([float(10**k) for k in range(16)])
 
 
 def _numbers(cells: np.ndarray, lengths: np.ndarray, point: bool):

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TelcoDataset
+from .data import TelcoDataset, _distinct, _write_csv
 from .months import Month, month_range
 
 NUMERIC = "numeric"
@@ -459,28 +460,51 @@ def extract_winback(dataset: TelcoDataset | TableIndex, termination_range: tuple
 # ---------------------------------------------------------------------------
 
 def write_matrix(matrix: FeatureMatrix, path: str) -> None:
-    """Flat CSV: billing_id, feature columns, optional trailing label."""
-    columns = [matrix.billing_ids]
+    """Flat CSV: billing_id, feature columns, optional trailing label; and
+    next to it, ``path + ".kinds"``: a CSV of each feature's name and kind.
+
+    Numeric cells are written as ``repr`` writes the float, missing ones
+    empty; categorical cells as their text, missing ones empty. Fields are
+    quoted as ``csv.writer`` quotes them, and the bytes are deterministic
+    (``data._write_csv``).
+    """
+    columns = [_distinct(matrix.billing_ids)]
     for name in matrix.feature_names:
-        if matrix.kinds[name] == NUMERIC:
-            values = np.asarray(matrix.columns[name], dtype=np.float64).tolist()
-            columns.append(["" if v != v else repr(v) for v in values])
-        else:
-            columns.append(["" if is_missing(v) else v for v in matrix.columns[name]])
-    header = ["billing_id"] + list(matrix.feature_names)
+        values = matrix.columns[name]
+        columns.append(np.asarray(values, dtype=np.float64) if matrix.kinds[name] == NUMERIC
+                       else _distinct(values, lambda v: "" if is_missing(v) else str(v)))
+    header = ["billing_id", *matrix.feature_names]
     if matrix.labels is not None:
         header.append("label")
-        columns.append(matrix.labels.tolist())
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(zip(*columns))
+        columns.append(np.asarray(matrix.labels))
+    _write_csv(path, header, columns, np.arange(matrix.n_rows), nan="")
+    kinds = [matrix.kinds[name] for name in matrix.feature_names]
+    _write_csv(path + ".kinds", ["feature", "kind"],
+               [_distinct(matrix.feature_names), _distinct(kinds)], np.arange(len(kinds)))
+
+
+def _declared_kinds(path: str, names: list[str]) -> dict[str, str] | None:
+    """The feature kinds of ``path``'s ``.kinds`` file, or None if it has none."""
+    kinds_path = path + ".kinds"
+    if not os.path.exists(kinds_path):
+        return None
+    with open(kinds_path, encoding="utf-8", newline="") as f:
+        rows = list(csv.reader(f))
+    if rows[:1] != [["feature", "kind"]]:
+        raise ValueError(f"{kinds_path}:1: expected the header feature,kind")
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != 2 or row[1] not in (NUMERIC, CATEGORICAL):
+            raise ValueError(f"{kinds_path}:{lineno}: malformed line {row!r}")
+    if [row[0] for row in rows[1:]] != names:
+        raise ValueError(f"{kinds_path}: its feature names differ from the header of {path}")
+    return dict(rows[1:])
 
 
 def read_matrix(path: str) -> FeatureMatrix:
-    """Read a flat feature CSV; column kinds are inferred (a column is
-    numeric iff every non-missing entry parses as a float). A ``label``
-    column holds 0 or 1."""
+    """Read a flat feature CSV. Each column is converted by the kind its
+    ``.kinds`` file declares; a CSV without one has its kinds inferred (a
+    column is numeric iff every non-missing entry parses as a float). A
+    ``label`` column holds 0 or 1."""
     with open(path, encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -495,6 +519,7 @@ def read_matrix(path: str) -> FeatureMatrix:
             if has_label and row[-1] not in ("0", "1"):
                 raise ValueError(f"{path}:{lineno}: malformed label {row[-1]!r}")
             raw_rows.append(row)
+    declared = _declared_kinds(path, names) or {}  # none: kinds are inferred
 
     billing_ids = [r[0] for r in raw_rows]
     labels = np.array([r[-1] == "1" for r in raw_rows], dtype=np.int8) if has_label else None
@@ -502,11 +527,26 @@ def read_matrix(path: str) -> FeatureMatrix:
     kinds: dict[str, str] = {}
     for j, name in enumerate(names, start=1):
         cells = [r[j] for r in raw_rows]
-        try:
-            columns[name] = np.array([float(c) if c != "" else np.nan for c in cells],
-                                     dtype=np.float64)
-            kinds[name] = NUMERIC
-        except ValueError:
-            kinds[name] = CATEGORICAL
-            columns[name] = np.array([c if c != "" else None for c in cells], dtype=object)
+        kind = declared.get(name)
+        if kind != CATEGORICAL:
+            try:
+                columns[name] = np.array([float(c) if c != "" else np.nan for c in cells],
+                                         dtype=np.float64)
+                kinds[name] = NUMERIC
+                continue
+            except ValueError:
+                if kind == NUMERIC:
+                    i = next(i for i, c in enumerate(cells) if not _is_float(c))
+                    raise ValueError(f"{path}:{i + 2}: malformed {name} {cells[i]!r}") from None
+        kinds[name] = CATEGORICAL
+        columns[name] = np.array([c if c != "" else None for c in cells], dtype=object)
     return FeatureMatrix(billing_ids, list(names), kinds, columns, labels)
+
+
+def _is_float(text: str) -> bool:
+    """Whether ``text`` is empty (missing) or parses as a float."""
+    try:
+        float(text or 0)
+    except ValueError:
+        return False
+    return True

@@ -198,8 +198,9 @@ def test_bad_config_value_names_its_key(tmp_path, capsys, line, message):
 
 
 def test_predict_rejects_a_feature_read_as_another_kind(tmp_path, capsys):
-    """A categorical column whose cells are all digits reads back as numeric;
-    predict names it rather than scoring its codes as numbers."""
+    """A categorical column whose cells are all digits reads back as numeric
+    from a CSV without its ``.kinds`` file; predict names it rather than
+    scoring its codes as numbers."""
     loc = ["7", "7", "9", "9", "A5", "7", "9", "A5"]
     train_m = make_matrix({"loc": loc, "x": [1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0]},
                           labels=[1, 1, 0, 0, 0, 1, 0, 0], kinds={"loc": "categorical"})
@@ -208,6 +209,7 @@ def test_predict_rejects_a_feature_read_as_another_kind(tmp_path, capsys):
     save_model(model, str(tmp_path / "task1_model.cfm"))
     write_matrix(make_matrix({"loc": ["7", "9", "7"], "x": [1.0, 2.0, 2.0]},
                              kinds={"loc": "categorical"}), str(tmp_path / "task1_test.csv"))
+    (tmp_path / "task1_test.csv.kinds").unlink()
     assert read_matrix(str(tmp_path / "task1_test.csv")).kinds["loc"] == "numeric"
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"data_dir = {tmp_path}\nout_dir = {tmp_path}\n", encoding="utf-8")

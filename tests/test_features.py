@@ -337,6 +337,56 @@ def test_matrix_csv_round_trip_unlabeled(tmp_path):
     assert again == m and again.labels is None
 
 
+def test_matrix_kinds_survive_the_file(tmp_path):
+    """A digit-coded categorical column reads back categorical, so a model
+    scores the matrix read from file as it scores the one written."""
+    import numpy as np
+    from conftest import make_matrix
+
+    from churnforge import train_adtree, train_bayes, train_cart, train_forest
+    rng = random.Random(11)
+    loc = [rng.choice(["7", "9", "12", "40"]) for _ in range(200)]
+    x = [round(rng.uniform(0, 10), 2) for _ in range(200)]
+    labels = [int(c in ("7", "40") if rng.random() < 0.85 else c == "9") for c in loc]
+    m = make_matrix({"loc": loc, "x": x}, labels=labels, kinds={"loc": "categorical"})
+    path = str(tmp_path / "m.csv")
+    write_matrix(m, path)
+    again = read_matrix(path)
+    assert again.kinds == {"loc": "categorical", "x": "numeric"} and again == m
+    for model in (train_cart(m, max_depth=4), train_adtree(m, n_boost_rounds=5),
+                  train_bayes(m), train_forest(m, n_trees=5, seed=3)):
+        np.testing.assert_array_equal(model.score_matrix(again), model.score_matrix(m))
+
+
+def test_matrix_kinds_file_must_match_the_header(tmp_path):
+    from conftest import make_matrix
+    path = tmp_path / "m.csv"
+    write_matrix(make_matrix({"x": [1.0, 2.0], "loc": ["7", "9"]},
+                             kinds={"loc": "categorical"}), str(path))
+    assert (tmp_path / "m.csv.kinds").read_text(encoding="utf-8") == (
+        "feature,kind\nx,numeric\nloc,categorical\n")
+    (tmp_path / "m.csv.kinds").write_text("feature,kind\nloc,categorical\nx,numeric\n",
+                                          encoding="utf-8")
+    with pytest.raises(ValueError, match=r"^\S*m\.csv\.kinds: its feature names differ from "
+                                         r"the header of \S*m\.csv$"):
+        read_matrix(str(path))
+    (tmp_path / "m.csv.kinds").write_text("feature,kind\nx,text\nloc,categorical\n",
+                                          encoding="utf-8")
+    with pytest.raises(ValueError, match=r"m\.csv\.kinds:2: malformed line \['x', 'text'\]$"):
+        read_matrix(str(path))
+
+
+def test_matrix_declared_numeric_column_must_parse(tmp_path):
+    from conftest import make_matrix
+    path = tmp_path / "m.csv"
+    write_matrix(make_matrix({"x": [1.0, 2.0, 3.0]}), str(path))
+    path.write_text("billing_id,x\nB1,1.0\nB2,\nB3,abc\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"m\.csv:4: malformed x 'abc'$"):
+        read_matrix(str(path))
+    (tmp_path / "m.csv.kinds").unlink()  # without the kinds file, x is inferred categorical
+    assert read_matrix(str(path)).kinds == {"x": "categorical"}
+
+
 @pytest.mark.parametrize("label", ["x", "2"])
 def test_matrix_label_must_be_0_or_1(tmp_path, label):
     path = tmp_path / "m.csv"

@@ -116,6 +116,9 @@ def test_predict_names_columns_the_test_matrix_lacks(tmp_path, capsys, learner):
     keep = [j for j, name in enumerate(rows[0]) if name != dropped]
     with open(out / "task1_test.csv", "w", encoding="utf-8", newline="") as f:
         csv.writer(f, lineterminator="\n").writerows([[r[j] for j in keep] for r in rows])
+    kinds = out / "task1_test.csv.kinds"  # the matrix's kinds, without the dropped feature
+    kinds.write_text("".join(line for line in kinds.read_text(encoding="utf-8").splitlines(True)
+                             if not line.startswith(f"{dropped},")), encoding="utf-8")
     capsys.readouterr()
 
     assert cli.main(["predict", "--config", str(config), "--task", "1"]) == 1

@@ -609,8 +609,10 @@ _CANONICAL = {
 
 
 class _TableReader:
-    """One table file as a byte buffer plus the span of every field,
-    converted a whole column at a time.
+    """One CSV file (a table, a feature matrix or its ``.kinds`` file) as a
+    byte buffer plus the span of every field, converted a whole column at
+    a time; a column is given by name or position. The header names the
+    columns (``names``) and, if ``record`` is given, must name its fields.
 
     A plain file (no quote, CR or NUL) is split with numpy; any other is
     read by ``csv.reader``, whose fields fill the same kind of buffer. A
@@ -621,27 +623,27 @@ class _TableReader:
     and line.
     """
 
-    def __init__(self, directory: str, name: str, record: type):
-        self.path = os.path.join(directory, FILENAMES[name])
-        if not os.path.exists(self.path):
-            raise DatasetFormatError(f"missing table file: {self.path}")
+    def __init__(self, path: str, record: type | None = None):
+        if not os.path.exists(path):
+            raise DatasetFormatError(f"missing file: {path}")
+        self.path = path
         self.record = record
-        self.names = [f.name for f in dataclasses.fields(record)]
-        with open(self.path, "rb") as f:
+        with open(path, "rb") as f:
             raw = f.read()
         if not raw.isascii():
             try:
                 raw.decode("utf-8")
             except UnicodeDecodeError as exc:
                 line = len((raw[:exc.start] + b"x").splitlines())
-                raise DatasetFormatError(f"{self.path}:{line}: byte {raw[exc.start]:#04x} "
+                raise DatasetFormatError(f"{path}:{line}: byte {raw[exc.start]:#04x} "
                                          f"is not UTF-8 text") from None
         fields = None
         if not (b'"' in raw or b"\r" in raw or b"\0" in raw):
             fields = _plain_fields(raw)
-        header, self.buf, widths, bounds, error = fields or _csv_fields(self.path)
-        if header != self.names:
-            raise DatasetFormatError(f"{self.path}:1: bad header {header!r}")
+        header, self.buf, widths, bounds, error = fields or _csv_fields(path)
+        self.names = header or []
+        if record is not None and header != [f.name for f in dataclasses.fields(record)]:
+            raise DatasetFormatError(f"{path}:1: bad header {header!r}")
         width = len(self.names)
         self.n = len(widths)  # rows still to check
         self.error: DatasetFormatError | None = None
@@ -661,32 +663,39 @@ class _TableReader:
         if len(bad):
             self.fail(int(bad[0]), message(int(bad[0])))
 
-    def text(self, i: int, j: int) -> str:
-        k = i * len(self.names) + j
-        return self.buf[self.bounds[k] + 1:self.bounds[k + 1]].tobytes().decode()
+    def _fields(self, column) -> np.ndarray:
+        """The indexes of a column's fields; a column is a name or a position."""
+        j = column if isinstance(column, int) else self.names.index(column)
+        return np.arange(j, len(self.bounds) - 1, len(self.names))
 
-    def _cells(self, j: int, cap: int):
-        """Column ``j``'s fields as a position x row byte matrix, zero past
-        each field's end (positions: the longest field's, at most ``cap``,
-        at least 2), and the fields' lengths."""
-        width = len(self.names)
-        starts = self.bounds[j:-1:width] + 1
-        lengths = self.bounds[j + 1::width] - starts
+    def _cells(self, fields: np.ndarray, cap: int):
+        """The ``fields`` as a position x field byte matrix, zero past each
+        field's end (positions: the longest field's, at most ``cap``, at
+        least 2), and the fields' lengths."""
+        starts = self.bounds[fields] + 1
+        lengths = self.bounds[fields + 1] - starts
         cells = np.empty((min(cap, max(int(lengths.max(initial=0)), 2)), len(starts)), np.uint8)
         for p, row in enumerate(cells):
             self.buf.take(starts + p, out=row, mode="clip")
         cells *= np.arange(len(cells))[:, None] < lengths
         return cells, lengths
 
-    def distinct(self, name: str) -> tuple[list[str], np.ndarray]:
-        """Column ``name``'s distinct texts, and each row's index into them."""
-        j = self.names.index(name)
-        cells, lengths = self._cells(j, _GATHER_BYTES + 1)
+    def texts(self, fields: np.ndarray) -> list[str]:
+        """The text of each of ``fields``, gathered and decoded at once."""
+        starts = self.bounds[fields] + 1
+        lengths = self.bounds[fields + 1] - starts + 1  # each with the byte after it
+        ends = np.cumsum(lengths)
+        data = self.buf[np.arange(lengths.sum()) + np.repeat(starts - ends + lengths, lengths)]
+        data[ends - 1] = 255  # a byte UTF-8 text never holds
+        return data.tobytes().decode(errors="surrogateescape").split("\udcff")[:-1]
+
+    def distinct(self, column) -> tuple[list[str], np.ndarray]:
+        """A column's distinct texts, and each row's index into them."""
+        fields = self._fields(column)
+        cells, lengths = self._cells(fields, _GATHER_BYTES + 1)
         n = len(lengths)
         if n and lengths.max() > _GATHER_BYTES:
-            index: dict[str, int] = {}
-            codes = [index.setdefault(self.text(i, j), len(index)) for i in range(n)]
-            return list(index), np.array(codes, dtype=np.intp)
+            return _distinct(self.texts(fields))
         rows = np.zeros((n, len(cells) + 1), dtype=np.uint8)
         rows[:, :-1] = cells.T
         rows[np.arange(n), lengths] = 1  # an end mark: numpy drops trailing NULs
@@ -712,20 +721,37 @@ class _TableReader:
             texts = values
         return np.array(texts, dtype=object)[codes].tolist()
 
-    def parse(self, name: str, parse) -> np.ndarray:
-        """Column ``name`` as an array: canonical cells converted with numpy,
-        every other cell decoded and converted by ``parse``; the first that
-        does not convert (or fit the array) fails its row."""
-        j = self.names.index(name)
+    def convert(self, column, parse, missing=None) -> tuple[np.ndarray, tuple | None]:
+        """A column as an array: canonical cells converted with numpy, every
+        other cell decoded (all at once) and converted by ``parse``, and an
+        empty cell read as ``missing`` if that is given. Also None or the
+        (row, text) of the first checked cell that does not convert (or
+        fit the array)."""
+        fields = self._fields(column)
         convert, cap = _CANONICAL[parse]
-        values, ok = convert(*self._cells(j, cap))
-        for i in np.flatnonzero(~ok[:self.n]).tolist():
-            text = self.text(i, j)
-            try:
-                values[i] = parse(text)
-            except (ValueError, TypeError, OverflowError):
-                self.fail(i, f"malformed {name}: {text!r}")
-                break
+        cells, lengths = self._cells(fields, cap)
+        values, ok = convert(cells, lengths)
+        if missing is not None:
+            values[lengths == 0] = missing
+            ok |= lengths == 0
+        rows = np.flatnonzero(~ok[:self.n])
+        texts = self.texts(fields[rows])
+        try:
+            values[rows] = list(map(parse, texts))
+        except (ValueError, TypeError, OverflowError):
+            for i, text in zip(rows.tolist(), texts):
+                try:
+                    values[i] = parse(text)
+                except (ValueError, TypeError, OverflowError):
+                    return values, (i, text)
+        return values, None
+
+    def parse(self, name: str, parse) -> np.ndarray:
+        """Column ``name`` as an array (``convert``); the first cell that
+        does not convert fails its row."""
+        values, failed = self.convert(name, parse)
+        if failed is not None:
+            self.fail(failed[0], f"malformed {name}: {failed[1]!r}")
         return values
 
     def table(self, values: dict) -> Table:
@@ -743,7 +769,9 @@ def read_tables(directory: str) -> TelcoDataset:
     optional_date = lambda text: date(text) if text else None  # noqa: E731
     tables = {}
 
-    r = _TableReader(directory, "subscribers", SubscriberRecord)
+    reader = lambda name: _TableReader(os.path.join(directory, FILENAMES[name]),  # noqa: E731
+                                       RECORDS[name])
+    r = reader("subscribers")
     values = {c: r.strings(c) for c in ("customer_id", "billing_id", "service_id", "t_location")}
     for name, allowed in (("segment", SEGMENTS), ("service_type", SERVICE_TYPES)):
         raw = values[name] = r.strings(name)
@@ -757,9 +785,8 @@ def read_tables(directory: str) -> TelcoDataset:
         r.check(col >= 0, lambda i: f"negative {name} {col[i]}")
     tables["subscribers"] = r.table(values)
 
-    for name, record, parse in (("billing", BillingMonthRecord, int),
-                                ("usage", UsageMonthRecord, float)):
-        r = _TableReader(directory, name, record)
+    for name, parse in (("billing", int), ("usage", float)):
+        r = reader(name)
         months = r.parse("month", _month_index)
         ids, codes = r.distinct("billing_id")
         order = np.lexsort((months[:r.n], codes[:r.n]))  # stable: earlier rows first
@@ -781,7 +808,7 @@ def read_tables(directory: str) -> TelcoDataset:
                         lambda i: f"{c} must be finite and non-negative, got {a[i].item()!r}")
         tables[name] = r.table(values)
 
-    r = _TableReader(directory, "service_requests", ServiceRequestRecord)
+    r = reader("service_requests")
     tables["service_requests"] = r.table({
         "customer_id": r.strings("customer_id"), "request_date": r.strings("request_date", date),
         "request_code": r.strings("request_code")})

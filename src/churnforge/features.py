@@ -12,14 +12,13 @@ with a missing operand are missing too.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TelcoDataset, _distinct, _write_csv
+from .data import TelcoDataset, _distinct, _TableReader, _write_csv
 from .months import Month, month_range
 
 NUMERIC = "numeric"
@@ -488,65 +487,53 @@ def _declared_kinds(path: str, names: list[str]) -> dict[str, str] | None:
     kinds_path = path + ".kinds"
     if not os.path.exists(kinds_path):
         return None
-    with open(kinds_path, encoding="utf-8", newline="") as f:
-        rows = list(csv.reader(f))
-    if rows[:1] != [["feature", "kind"]]:
+    r = _TableReader(kinds_path)
+    if r.names != ["feature", "kind"]:
         raise ValueError(f"{kinds_path}:1: expected the header feature,kind")
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 2 or row[1] not in (NUMERIC, CATEGORICAL):
-            raise ValueError(f"{kinds_path}:{lineno}: malformed line {row!r}")
-    if [row[0] for row in rows[1:]] != names:
+    features, kinds = r.strings("feature"), r.strings("kind")
+    r.check([k in (NUMERIC, CATEGORICAL) for k in kinds],
+            lambda i: f"malformed line {[features[i], kinds[i]]!r}")
+    if r.error is not None:
+        raise r.error
+    if features != names:
         raise ValueError(f"{kinds_path}: its feature names differ from the header of {path}")
-    return dict(rows[1:])
+    return dict(zip(features, kinds))
 
 
 def read_matrix(path: str) -> FeatureMatrix:
     """Read a flat feature CSV. Each column is converted by the kind its
     ``.kinds`` file declares; a CSV without one has its kinds inferred (a
     column is numeric iff every non-missing entry parses as a float). A
-    ``label`` column holds 0 or 1."""
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if not header or header[0] != "billing_id":
-            raise ValueError(f"{path}:1: expected billing_id header column")
-        has_label = header[-1] == "label"
-        names = header[1:-1] if has_label else header[1:]
-        raw_rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            if has_label and row[-1] not in ("0", "1"):
-                raise ValueError(f"{path}:{lineno}: malformed label {row[-1]!r}")
-            raw_rows.append(row)
+    ``label`` column holds 0 or 1. The first defective line fails, as in a
+    table (``data._TableReader``), but field-count and label defects come
+    before any of the ``.kinds`` file's and those before numeric cells'."""
+    r = _TableReader(path)
+    header = r.names
+    if not header or header[0] != "billing_id":
+        raise ValueError(f"{path}:1: expected billing_id header column")
+    has_label = header[-1] == "label"
+    names = header[1:len(header) - has_label]
+    labels = None
+    if has_label:
+        texts, codes = r.distinct(len(header) - 1)
+        r.check(np.array([t in ("0", "1") for t in texts], dtype=bool)[codes],
+                lambda i: f"malformed label {texts[codes[i]]!r}")
+        labels = np.array([t == "1" for t in texts], dtype=np.int8)[codes]
+    if r.error is not None:
+        raise r.error
     declared = _declared_kinds(path, names) or {}  # none: kinds are inferred
-
-    billing_ids = [r[0] for r in raw_rows]
-    labels = np.array([r[-1] == "1" for r in raw_rows], dtype=np.int8) if has_label else None
-    columns: dict[str, np.ndarray] = {}
-    kinds: dict[str, str] = {}
+    columns = {}
     for j, name in enumerate(names, start=1):
-        cells = [r[j] for r in raw_rows]
-        kind = declared.get(name)
-        if kind != CATEGORICAL:
-            try:
-                columns[name] = np.array([float(c) if c != "" else np.nan for c in cells],
-                                         dtype=np.float64)
-                kinds[name] = NUMERIC
-                continue
-            except ValueError:
-                if kind == NUMERIC:
-                    i = next(i for i, c in enumerate(cells) if not _is_float(c))
-                    raise ValueError(f"{path}:{i + 2}: malformed {name} {cells[i]!r}") from None
-        kinds[name] = CATEGORICAL
-        columns[name] = np.array([c if c != "" else None for c in cells], dtype=object)
-    return FeatureMatrix(billing_ids, list(names), kinds, columns, labels)
-
-
-def _is_float(text: str) -> bool:
-    """Whether ``text`` is empty (missing) or parses as a float."""
-    try:
-        float(text or 0)
-    except ValueError:
-        return False
-    return True
+        column = failed = None
+        if declared.get(name) != CATEGORICAL:
+            column, failed = r.convert(j, float, missing=np.nan)
+        if failed is not None and declared:  # checked only above an earlier column's defect
+            r.fail(failed[0], f"malformed {name} {failed[1]!r}")
+        elif column is None or failed is not None:
+            texts, codes = r.distinct(j)
+            column = np.array([t or None for t in texts], dtype=object)[codes]
+        columns[name] = column
+    if r.error is not None:
+        raise r.error
+    kinds = {name: NUMERIC if columns[name].dtype.kind == "f" else CATEGORICAL for name in names}
+    return FeatureMatrix(r.strings("billing_id"), names, kinds, columns, labels)

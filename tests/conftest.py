@@ -1,8 +1,20 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from churnforge import GeneratorConfig, generate
 from churnforge.features import CATEGORICAL, NUMERIC, FeatureMatrix
+
+
+def pytest_collection_modifyitems(items):
+    """Turn every warning raised in this suite's tests into an error, so a
+    file left open fails its test with a ResourceWarning. Set here, not in
+    pyproject.toml, whose pytest options also reach bench/'s smoke tests."""
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error"))
 
 
 def make_matrix(columns: dict, labels=None, kinds=None, ids=None) -> FeatureMatrix:

@@ -9,6 +9,7 @@ import itertools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 
@@ -125,7 +126,7 @@ def test_criterion_2_learner_oracles_exact():
 
 def test_criterion_3_adtree_scoring():
     with _report(3, "reference model scores 2.204 and oracle agrees on 1000 pairs"):
-        model = cf.parse_adtree(open(REFERENCE, encoding="utf-8").read(), REFERENCE)
+        model = cf.parse_adtree(Path(REFERENCE).read_text(encoding="utf-8"), REFERENCE)
         row = {"UL1110": 0.0, "OUTSTANDING_avg": 500.0, "CREDIT_ADJ_avg": -10.0}
         assert abs(model.score_row(row) - 2.204) <= 1e-9
         rng = np.random.default_rng(103)
@@ -272,7 +273,7 @@ def _run_pipeline(tmpdir: str, tag: str) -> dict[str, bytes]:
         for name in files:
             if base.endswith(f"_{tag}"):
                 path = os.path.join(base, name)
-                out[os.path.relpath(path, base)] = open(path, "rb").read()
+                out[os.path.relpath(path, base)] = Path(path).read_bytes()
     return out
 
 

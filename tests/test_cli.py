@@ -1,5 +1,6 @@
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,35 +56,35 @@ def test_full_churn_pipeline(workdir):
     assert _run(workdir, "rank-features", "--task", "1") == 0
 
     out = workdir["out"]
-    best = open(os.path.join(out, "task1_best.txt"), encoding="utf-8").read().strip()
+    best = Path(out, "task1_best.txt").read_text(encoding="utf-8").strip()
     assert best in ("stump", "cart", "bayes")
 
-    lines = open(os.path.join(out, "task1_predictions.csv"), encoding="utf-8").read().splitlines()
+    lines = Path(out, "task1_predictions.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "billing_id,score,rank"
     assert len(lines) == 26
     ranks = [int(line.split(",")[2]) for line in lines[1:]]
     assert ranks == list(range(1, 26))
 
-    ranking = open(os.path.join(out, "task1_feature_ranking.csv"), encoding="utf-8").read().splitlines()
+    ranking = Path(out, "task1_feature_ranking.csv").read_text(encoding="utf-8").splitlines()
     assert ranking[0] == "rank,feature,info_gain"
     assert len(ranking) == 16  # default top 15
 
-    comparison = open(os.path.join(out, "task1_comparison.csv"), encoding="utf-8").read().splitlines()
+    comparison = Path(out, "task1_comparison.csv").read_text(encoding="utf-8").splitlines()
     assert comparison[0] == "metric,stump,cart,bayes"
 
 
 def test_predict_is_byte_deterministic(workdir):
     path = os.path.join(workdir["out"], "task1_predictions.csv")
     assert _run(workdir, "predict", "--task", "1", "--top-n", "25") == 0
-    first = open(path, "rb").read()
+    first = Path(path).read_bytes()
     assert _run(workdir, "predict", "--task", "1", "--top-n", "25") == 0
-    assert open(path, "rb").read() == first
+    assert Path(path).read_bytes() == first
 
 
 def test_predict_holdout_metrics(workdir):
     assert main(["predict", "--task", "1", "--holdout",
                  "--config", workdir["config"]]) == 0
-    text = open(os.path.join(workdir["out"], "task1_holdout.txt"), encoding="utf-8").read()
+    text = Path(workdir["out"], "task1_holdout.txt").read_text(encoding="utf-8")
     assert "prec_1=" in text and "tp=" in text
 
 
@@ -92,8 +93,8 @@ def test_loyal_task_reuses_churn_extraction_and_reverses(workdir):
     assert _run(workdir, "compare", "--task", "2") == 0
     assert _run(workdir, "train-final", "--task", "2") == 0
     assert _run(workdir, "predict", "--task", "2", "--top-n", "10") == 0
-    lines = open(os.path.join(workdir["out"], "task2_predictions.csv"),
-                 encoding="utf-8").read().splitlines()[1:]
+    lines = Path(workdir["out"], "task2_predictions.csv").read_text(
+        encoding="utf-8").splitlines()[1:]
     scores = [float(line.split(",")[1]) for line in lines]
     assert scores == sorted(scores)  # loyal = ascending churn score
 
@@ -112,22 +113,21 @@ def test_loyal_ranking_is_exact_reverse_for_unique_scores():
 
 def test_winback_pipeline(workdir):
     assert _run(workdir, "extract", "--task", "3") == 0
-    train = open(os.path.join(workdir["out"], "task3_train.csv"), encoding="utf-8").read()
+    train = Path(workdir["out"], "task3_train.csv").read_text(encoding="utf-8")
     header = train.splitlines()[0].split(",")
     assert "DL_M1" in header and "DL_M3" in header  # per-subscriber windows
     assert _run(workdir, "compare", "--task", "3") == 0
     assert _run(workdir, "train-final", "--task", "3") == 0
     assert _run(workdir, "predict", "--task", "3", "--top-n", "5") == 0
-    lines = open(os.path.join(workdir["out"], "task3_predictions.csv"),
-                 encoding="utf-8").read().splitlines()
+    lines = Path(workdir["out"], "task3_predictions.csv").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 6
 
 
 def test_sme_task_filters_by_service(workdir):
     assert _run(workdir, "extract", "--task", "4") == 0
     assert _run(workdir, "extract", "--task", "6") == 0
-    t4 = open(os.path.join(workdir["out"], "task4_train.csv"), encoding="utf-8").read()
-    t6 = open(os.path.join(workdir["out"], "task6_train.csv"), encoding="utf-8").read()
+    t4 = Path(workdir["out"], "task4_train.csv").read_text(encoding="utf-8")
+    t6 = Path(workdir["out"], "task6_train.csv").read_text(encoding="utf-8")
     assert len(t4.splitlines()) > 1 and len(t6.splitlines()) > 1
     ids4 = {line.split(",")[0] for line in t4.splitlines()[1:]}
     ids6 = {line.split(",")[0] for line in t6.splitlines()[1:]}
@@ -150,6 +150,13 @@ def test_predict_without_model_fails_cleanly(tmp_path, capsys):
     cfg.write_text(f"data_dir = {tmp_path}\nout_dir = {tmp_path}\n", encoding="utf-8")
     assert main(["predict", "--config", str(cfg)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_compare_before_extract_names_the_missing_matrix(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"data_dir = {tmp_path}\nout_dir = {tmp_path}\n", encoding="utf-8")
+    assert main(["compare", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: missing file: {tmp_path / 'task1_train.csv'}\n"
 
 
 def test_cli_seed_override_changes_sampling(workdir, tmp_path):

@@ -1,13 +1,19 @@
+import csv
 import datetime as dt
 import math
+import os
 import random
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from churnforge import (GeneratorConfig, TelcoDataset, extract_churn, extract_winback,
                         generate, read_matrix, standard_windows, write_matrix)
 from churnforge.data import BillingMonthRecord, SubscriberRecord, UsageMonthRecord
-from churnforge.features import WindowSpec, derive, monthly_average
+from churnforge.features import (CATEGORICAL, NUMERIC, FeatureMatrix, WindowSpec, derive,
+                                 monthly_average)
 from churnforge.months import Month, month_range
 
 
@@ -323,7 +329,7 @@ def test_matrix_csv_round_trip(planted_dataset, tmp_path):
     again = read_matrix(path)
     assert again == m
     # header is feature names plus label
-    header = open(path, encoding="utf-8").readline().strip().split(",")
+    header = Path(path).read_text(encoding="utf-8").splitlines()[0].split(",")
     assert header[0] == "billing_id" and header[-1] == "label"
     assert header[1:-1] == m.feature_names
 
@@ -393,3 +399,235 @@ def test_matrix_label_must_be_0_or_1(tmp_path, label):
     path.write_text(f"billing_id,x,label\nB1,1.0,0\nB2,2.0,{label}\n", encoding="utf-8")
     with pytest.raises(ValueError, match=rf"m\.csv:3: malformed label '{label}'$"):
         read_matrix(str(path))
+
+
+@pytest.mark.parametrize("lines,message", [
+    ("B1,1.0,xyz\nB2,abc,2.0\n", "m.csv:2: malformed y 'xyz'"),
+    ("B1,abc,2.0\nB2,1.0,xyz\n", "m.csv:2: malformed x 'abc'"),
+])
+def test_matrix_malformed_numeric_cell_is_named_by_its_line(tmp_path, lines, message):
+    """Of two malformed numeric cells, the one on the earlier line is named,
+    whatever the order of their columns."""
+    from conftest import make_matrix
+    path = tmp_path / "m.csv"
+    write_matrix(make_matrix({"x": [1.0, 2.0], "y": [1.0, 2.0]}), str(path))
+    path.write_text("billing_id,x,y\n" + lines, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        read_matrix(str(path))
+
+
+def test_matrix_cell_of_many_points_is_not_a_float(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("billing_id,x\nB1,1.0\nB2,1.2.3.4.5.6.7\n", encoding="utf-8")
+    assert read_matrix(str(path)).kinds == {"x": "categorical"}
+    (tmp_path / "m.csv.kinds").write_text("feature,kind\nx,numeric\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"m\.csv:3: malformed x '1\.2\.3\.4\.5\.6\.7'$"):
+        read_matrix(str(path))
+
+
+def test_matrix_byte_that_is_not_utf8_names_its_line(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"billing_id,loc\nB1,AJP\nB2,\xff\n")
+    with pytest.raises(ValueError, match=r"m\.csv:3: byte 0xff is not UTF-8 text$"):
+        read_matrix(str(path))
+
+
+def test_matrix_field_over_the_csv_limit_names_its_line(tmp_path):
+    limit = csv.field_size_limit()
+    path = tmp_path / "m.csv"
+    path.write_text(f"billing_id,loc\nB1,AJP\nB2,{'x' * (limit + 1)}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"m\.csv:3: field larger than field limit \({limit}\)$"):
+        read_matrix(str(path))
+
+
+@pytest.mark.parametrize("line,message", [
+    (b"x,\xffnumeric", "byte 0xff is not UTF-8 text"),
+    (b"x,numeric,1", "expected 2 fields, got 3"),
+])
+def test_matrix_kinds_file_defect_names_its_line(tmp_path, line, message):
+    from conftest import make_matrix
+    path = tmp_path / "m.csv"
+    write_matrix(make_matrix({"x": [1.0, 2.0]}), str(path))
+    (tmp_path / "m.csv.kinds").write_bytes(b"feature,kind\n" + line + b"\n")
+    with pytest.raises(ValueError, match=rf"m\.csv\.kinds:2: {message}$"):
+        read_matrix(str(path))
+
+
+# ---------------------------------------------------------------------------
+# differential check: read_matrix against the row-by-row csv.reader code
+# ---------------------------------------------------------------------------
+
+def _reference_declared_kinds(path: str, names: list[str]) -> dict[str, str] | None:
+    kinds_path = path + ".kinds"
+    if not os.path.exists(kinds_path):
+        return None
+    with open(kinds_path, encoding="utf-8", newline="") as f:
+        rows = list(csv.reader(f))
+    if rows[:1] != [["feature", "kind"]]:
+        raise ValueError(f"{kinds_path}:1: expected the header feature,kind")
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != 2 or row[1] not in (NUMERIC, CATEGORICAL):
+            raise ValueError(f"{kinds_path}:{lineno}: malformed line {row!r}")
+    if [row[0] for row in rows[1:]] != names:
+        raise ValueError(f"{kinds_path}: its feature names differ from the header of {path}")
+    return dict(rows[1:])
+
+
+def _reference_is_float(text: str) -> bool:
+    try:
+        float(text or 0)
+    except ValueError:
+        return False
+    return True
+
+
+def _reference_read_matrix(path: str) -> FeatureMatrix:
+    """``read_matrix`` as a ``csv.reader`` loop, one list per row and one
+    ``float`` per cell."""
+    with open(path, encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if not header or header[0] != "billing_id":
+            raise ValueError(f"{path}:1: expected billing_id header column")
+        has_label = header[-1] == "label"
+        names = header[1:-1] if has_label else header[1:]
+        raw_rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            if has_label and row[-1] not in ("0", "1"):
+                raise ValueError(f"{path}:{lineno}: malformed label {row[-1]!r}")
+            raw_rows.append(row)
+    declared = _reference_declared_kinds(path, names) or {}
+
+    billing_ids = [r[0] for r in raw_rows]
+    labels = np.array([r[-1] == "1" for r in raw_rows], dtype=np.int8) if has_label else None
+    columns: dict[str, np.ndarray] = {}
+    kinds: dict[str, str] = {}
+    for j, name in enumerate(names, start=1):
+        cells = [r[j] for r in raw_rows]
+        kind = declared.get(name)
+        if kind != CATEGORICAL:
+            try:
+                columns[name] = np.array([float(c) if c != "" else np.nan for c in cells],
+                                         dtype=np.float64)
+                kinds[name] = NUMERIC
+                continue
+            except ValueError:
+                if kind == NUMERIC:
+                    i = next(i for i, c in enumerate(cells) if not _reference_is_float(c))
+                    raise ValueError(f"{path}:{i + 2}: malformed {name} {cells[i]!r}") from None
+        kinds[name] = CATEGORICAL
+        columns[name] = np.array([c if c != "" else None for c in cells], dtype=object)
+    return FeatureMatrix(billing_ids, list(names), kinds, columns, labels)
+
+
+# cells that repr does not write, and floats at the edges of numpy's exact conversion
+NUMBER_TEXTS = ["", "-0.0", "0.0", "nan", "NaN", "inf", "-inf", " 5", "1_000", "1E3", ".5",
+                "5.", "007", "+3", "-12.5", "1e-7", "7\n", "900719925474099.1",
+                "900719925474099.3", "0.0000000000000001", "123456789012345.6"]
+TEXTS = ["", "AJP", "7", "12", "a,b", 'say "hi"', "two\nlines", "cr\rhere", "\r\n", "ünï",
+         "nan", " pad ", "wide" * 20]
+DEFECTS = ["fields", "label", "cell", "header", "kinds header", "kinds kind", "kinds names"]
+
+
+def _number_text(rng, odd: float) -> str:
+    roll = rng.random()
+    if roll < 0.2:
+        text = rng.choice(NUMBER_TEXTS)
+        return text if rng.random() < odd else text.strip()  # "7\n" only in quoted files
+    if roll < 0.5:
+        return repr(round(rng.uniform(-1e4, 1e4), rng.randrange(7)))
+    return repr(rng.uniform(-1e6, 1e6) / rng.choice([1, 3, 7]))  # mostly 16-17 digits
+
+
+def _matrix_file(tmp_path, rng, sidecar: bool, defect: str | None = None) -> str:
+    """A random matrix CSV, plain, quoted and/or with CRLF line ends, and
+    with ``sidecar`` its ``.kinds`` file; ``defect`` injects one defect."""
+    n = rng.randrange(2, 300) if defect or rng.random() < 0.7 else rng.choice([0, 1])
+    odd = rng.choice([0.0, 0.0, 0.05, 0.5])  # the share of ids and texts drawn from TEXTS
+    names = [f"f{j}" if rng.random() >= odd else rng.choice(TEXTS[1:]) + str(j)
+             for j in range(rng.randrange(1 if defect else 0, 7))]
+    kinds = [rng.choice([NUMERIC, NUMERIC, CATEGORICAL]) for _ in names]
+    if defect:
+        kinds[0] = NUMERIC
+    has_label = bool(defect) or rng.random() < 0.7
+    digit_coded = rng.random() < 0.5
+    header = ["billing_id", *names] + ["label"] * has_label
+    rows = []
+    for i in range(n):
+        row = [rng.choice(TEXTS) if rng.random() < odd else f"B{i}"]
+        for kind in kinds:
+            row.append(_number_text(rng, odd) if kind == NUMERIC else
+                       rng.choice(["7", "12", "40", ""] if digit_coded else
+                                  TEXTS if rng.random() < odd else ["AJP", "TLS", ""]))
+        rows.append(row + [str(rng.randrange(2))] * has_label)
+    lines = [["feature", "kind"], *map(list, zip(names, kinds))]
+    i, j = rng.randrange(n or 1), rng.randrange(1, len(names) + 1) if names else 0
+    if defect == "fields":
+        rows[i] = rows[i] + ["x"] if rng.random() < 0.5 else rows[i][:-1]
+    elif defect == "label":
+        rows[i][-1] = rng.choice(["2", "x", "", "1.0", " 1"])
+    elif defect == "cell":
+        rows[i][1] = rng.choice(["abc", "1.2.3", "--1", "1e", "five"])
+    elif defect == "header":
+        header[0] = "id"
+    elif defect == "kinds header":
+        lines[0] = ["feature", "type"]
+    elif defect == "kinds kind":
+        lines[j][1] = "text"
+    elif defect == "kinds names":
+        lines[j][0] += "_"
+    path = str(tmp_path / "m.csv")
+    end, quote_all = "\r\n" if rng.random() < 0.3 else "\n", rng.random() < 0.2
+
+    def text(lines) -> str:  # quoted where csv.reader needs it, or everywhere
+        return "".join(",".join('"' + f.replace('"', '""') + '"' if quote_all or (
+            any(c in f for c in ',"\r\n') or line == [""]) else f for f in line) + end
+                       for line in lines)
+
+    Path(path).write_text(text([header, *rows]), encoding="utf-8", newline="")
+    if sidecar or defect:
+        Path(path + ".kinds").write_text(text(lines), encoding="utf-8", newline="")
+    return path
+
+
+def _read_both(path: str):
+    """Each reader's matrix, or the message of the error it raised."""
+    results = []
+    for read in (read_matrix, _reference_read_matrix):
+        try:
+            results.append(read(path))
+        except ValueError as exc:
+            results.append(str(exc))
+    return results
+
+
+@pytest.mark.parametrize("sidecar", [True, False])
+@pytest.mark.parametrize("case", range(20))
+def test_matrices_read_as_the_csv_reader_code_reads_them(tmp_path, case, sidecar):
+    ours, reference = _read_both(_matrix_file(tmp_path, random.Random(case), sidecar))
+    assert isinstance(reference, FeatureMatrix), reference
+    assert isinstance(ours, FeatureMatrix), ours
+    assert ours.billing_ids == reference.billing_ids
+    assert ours.feature_names == reference.feature_names and ours.kinds == reference.kinds
+    if reference.labels is None:
+        assert ours.labels is None
+    else:
+        assert ours.labels.dtype == np.int8 and np.array_equal(ours.labels, reference.labels)
+    for name in reference.feature_names:
+        a, b = ours.columns[name], reference.columns[name]
+        assert a.dtype == b.dtype, name
+        if b.dtype == np.float64:
+            assert a.tobytes() == b.tobytes(), name
+        else:
+            assert a.tolist() == b.tolist(), name
+
+
+@pytest.mark.parametrize("case", range(21))
+def test_a_matrix_defect_fails_as_the_csv_reader_code_fails(tmp_path, case):
+    rng = random.Random(100 + case)
+    defect = DEFECTS[case % len(DEFECTS)]
+    ours, reference = _read_both(_matrix_file(tmp_path, rng, True, defect))
+    assert isinstance(reference, str), defect
+    assert ours == reference

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ def test_root_only_model_text():
 
 
 def test_reference_model_parses_and_prints_canonical_lines():
-    text = open(REFERENCE, encoding="utf-8").read()
+    text = Path(REFERENCE).read_text(encoding="utf-8")
     model = parse_adtree(text, REFERENCE)
     printed = print_adtree(model)
     assert "(1)UL1110 < 0.5: 0.941" in printed
@@ -30,7 +31,7 @@ def test_reference_model_parses_and_prints_canonical_lines():
 
 
 def test_reference_model_hand_computed_score():
-    model = parse_adtree(open(REFERENCE, encoding="utf-8").read(), REFERENCE)
+    model = parse_adtree(Path(REFERENCE).read_text(encoding="utf-8"), REFERENCE)
     row = {"UL1110": 0.0, "OUTSTANDING_avg": 500.0, "CREDIT_ADJ_avg": -10.0}
     assert model.score_row(row) == pytest.approx(2.204, abs=1e-9)
     assert model.predict_row(row) == 1
@@ -136,7 +137,7 @@ def test_header_present_in_every_file(tmp_path):
     for name, model in (("a.cfm", train_bayes(m)), ("b.adt", train_adtree(m, 2))):
         path = str(tmp_path / name)
         save_model(model, path)
-        first = open(path, encoding="utf-8").readline().rstrip("\n")
+        first = Path(path).read_text(encoding="utf-8").split("\n", 1)[0]
         assert first == HEADER == "churnforge-model v1"
 
 
@@ -158,7 +159,7 @@ def test_truncated_file_rejected(tmp_path):
     m = _labeled(rng, n=40)
     path = str(tmp_path / "model.cfm")
     save_model(train_bayes(m), path)
-    whole = open(path, encoding="utf-8").read()
+    whole = Path(path).read_text(encoding="utf-8")
     with open(path, "w", encoding="utf-8") as f:
         f.write(whole[: len(whole) // 2])
     with pytest.raises(ModelFormatError, match="truncated|corrupt"):

@@ -405,11 +405,27 @@ def test_first_defect_matches_a_row_by_row_reader(small_tables, tmp_path, case):
     assert ours == reference
 
 
+@pytest.mark.parametrize("defects", [
+    [("usage", ["download_mb"], "1.2.3.4.5.6.7.8.9")],
+    [("billing", ["payment"], "99999999999999999999"), ("billing", ["payment"], "")],
+])
+def test_odd_number_cells_fail_as_the_row_by_row_reader_fails(small_tables, tmp_path, defects):
+    """A cell of many points, and an empty cell in a column as wide as an
+    int can be written."""
+    rng = random.Random(1)
+    files = {name: list(lines) for name, lines in small_tables[0].items()}
+    for defect in defects:
+        _inject(files, defect, rng)
+    _write_files(tmp_path, files, rng)
+    ours, reference = _read_both(tmp_path)
+    assert isinstance(reference, str) and ours == reference
+
+
 @pytest.mark.parametrize("case", range(6))
 def test_valid_uncanonical_cells_read_as_int_and_float_do(small_tables, tmp_path, monkeypatch,
                                                           case):
     """Cells ``str(int)``/``repr(float)`` would not write still read as
-    ``int``/``float`` read them, decoded one at a time."""
+    ``int``/``float`` read them, and only those cells are decoded."""
     rng = random.Random(case)
     files = {name: list(lines) for name, lines in small_tables[case % 3].items()}
     injected = []
@@ -424,9 +440,10 @@ def test_valid_uncanonical_cells_read_as_int_and_float_do(small_tables, tmp_path
             injected.append(text)
     _write_files(tmp_path, files, rng)
     decoded = []
-    text_of = data._TableReader.text
-    monkeypatch.setattr(data._TableReader, "text",
-                        lambda self, i, j: decoded.append(text_of(self, i, j)) or decoded[-1])
+    texts_of = data._TableReader.texts
+    monkeypatch.setattr(data._TableReader, "texts",
+                        lambda self, fields: decoded.extend(texts_of(self, fields))
+                        or decoded[len(decoded) - len(fields):])
     ours, reference = _read_both(tmp_path)
     assert isinstance(ours, TelcoDataset) and ours == reference
     assert sorted(decoded) == sorted(injected)

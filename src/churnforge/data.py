@@ -684,8 +684,10 @@ class _TableReader:
         """The text of each of ``fields``, gathered and decoded at once."""
         starts = self.bounds[fields] + 1
         lengths = self.bounds[fields + 1] - starts + 1  # each with the byte after it
-        ends = np.cumsum(lengths)
-        data = self.buf[np.arange(lengths.sum()) + np.repeat(starts - ends + lengths, lengths)]
+        ends = np.cumsum(lengths, dtype=lengths.dtype)  # int32 below 2 GiB: no upcast
+        # take, not [], gathers through an int32 index at int64 speed
+        data = self.buf.take(np.arange(lengths.sum(), dtype=lengths.dtype)
+                             + np.repeat(starts - ends + lengths, lengths))
         data[ends - 1] = 255  # a byte UTF-8 text never holds
         return data.tobytes().decode(errors="surrogateescape").split("\udcff")[:-1]
 
@@ -705,20 +707,9 @@ class _TableReader:
         texts, codes = np.unique(rows[head], return_inverse=True)
         return [t[:-1].decode() for t in texts.tolist()], codes[np.cumsum(head) - 1]
 
-    def strings(self, name: str, parse=None) -> list:
-        """Column ``name``'s texts, each distinct one converted by ``parse``
-        (if given) once; the first row whose text does not convert fails."""
+    def strings(self, name: str) -> list[str]:
+        """Column ``name``'s texts; rows with equal texts share one ``str``."""
         texts, codes = self.distinct(name)
-        if parse is not None:
-            ok, values = np.ones(len(texts), dtype=bool), []
-            for k, text in enumerate(texts):
-                try:
-                    values.append(parse(text))
-                except (ValueError, TypeError, OverflowError):
-                    ok[k] = False
-                    values.append(None)
-            self.check(ok[codes], lambda i: f"malformed {name}: {texts[codes[i]]!r}")
-            texts = values
         return np.array(texts, dtype=object)[codes].tolist()
 
     def convert(self, column, parse, missing=None) -> tuple[np.ndarray, tuple | None]:
@@ -728,9 +719,10 @@ class _TableReader:
         (row, text) of the first checked cell that does not convert (or
         fit the array)."""
         fields = self._fields(column)
-        convert, cap = _CANONICAL[parse]
+        convert, cap = _CANONICAL.get(parse, (None, 0))  # any other parse: no cell is canonical
         cells, lengths = self._cells(fields, cap)
-        values, ok = convert(cells, lengths)
+        values, ok = convert(cells, lengths) if convert else (
+            np.empty(len(fields), object), np.zeros(len(fields), bool))
         if missing is not None:
             values[lengths == 0] = missing
             ok |= lengths == 0
@@ -779,7 +771,7 @@ def read_tables(directory: str) -> TelcoDataset:
     for c, parse in (("activation_date", date), ("customer_since", date),
                      ("contract_period", int), ("price_start", int), ("hsbb_area", int),
                      ("termination_date", optional_date), ("comeback_date", optional_date)):
-        values[c] = r.parse(c, parse) if parse is int else r.strings(c, parse)
+        values[c] = r.parse(c, parse)
     for name in ("contract_period", "price_start"):
         col = values[name]
         r.check(col >= 0, lambda i: f"negative {name} {col[i]}")
@@ -810,6 +802,6 @@ def read_tables(directory: str) -> TelcoDataset:
 
     r = reader("service_requests")
     tables["service_requests"] = r.table({
-        "customer_id": r.strings("customer_id"), "request_date": r.strings("request_date", date),
+        "customer_id": r.strings("customer_id"), "request_date": r.parse("request_date", date),
         "request_code": r.strings("request_code")})
     return TelcoDataset(**tables)

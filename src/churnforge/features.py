@@ -191,13 +191,6 @@ def feature_schema(months: tuple[Month, ...] | None) -> tuple[list[str], dict[st
     return names, kinds
 
 
-def monthly_average(values) -> float:
-    """Mean over the window months; NaN as soon as any operand is missing."""
-    if None in values:
-        return float("nan")
-    return sum(values) / len(values)  # a NaN operand makes the sum NaN
-
-
 def derive(aggregates: dict) -> dict:
     """Difference features from already-computed aggregates.
 
@@ -349,7 +342,7 @@ class TableIndex:
                 usage["download_mb"][:, j], usage["upload_mb"][:, j],
                 usage["voice_minutes"][:, j], requests[:, j].astype(np.float64))))
         for name, column in (("3M_DL_avg", "download_mb"), ("3M_UL_avg", "upload_mb")):
-            # the built-in sum, as monthly_average: from Python 3.12 it compensates
+            # the built-in sum, as a per-account loop: from Python 3.12 it compensates
             values[name] = np.array([sum(r) for r in usage[column].tolist()]) / 3
 
         for name, field in zip(MONETARY_AVG_NAMES, _MONETARY_FIELDS):

@@ -84,12 +84,6 @@ def train(matrix: FeatureMatrix, spec: LearnerSpec):
     raise AssertionError(a)
 
 
-def model_features(model) -> dict[str, str]:
-    """{feature: kind} of the features a model's conditions and tables
-    read, each with the kind the model reads it as."""
-    return model.features()
-
-
 def predict_matrix(model, matrix: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
     """(scores, labels) over all rows, using the model's batch path."""
     scores = model.score_matrix(matrix)
@@ -98,7 +92,6 @@ def predict_matrix(model, matrix: FeatureMatrix) -> tuple[np.ndarray, np.ndarray
 
 __all__ = [
     "ALGORITHMS", "LearnerSpec", "train", "predict_matrix",
-    "model_features",
     "SplitCondition", "TrainingData",
     "TreeModel", "train_cart", "train_stump",
     "ADTreeModel", "PredictionNode", "Splitter", "train_adtree",

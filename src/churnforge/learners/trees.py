@@ -117,22 +117,17 @@ def fit_trees(td: TrainingData, rngs: list, max_depth: int = 6, min_leaf: int = 
 
 
 def fit_tree(td: TrainingData, max_depth: int = 6, min_leaf: int = 1,
-             counts: np.ndarray | None = None, weights: np.ndarray | None = None,
-             features_per_split: int | None = None,
-             rng: np.random.Generator | None = None) -> TreeModel:
-    """Grow one tree on presorted data; `counts` are bootstrap row
-    multiplicities (rows drawn 0 times take no part)."""
-    return fit_trees(td, [rng], max_depth, min_leaf, None if counts is None else counts[None],
-                     weights, features_per_split)[0]
+             weights: np.ndarray | None = None) -> TreeModel:
+    """Grow one tree on presorted data, each row weighted by `weights` if given."""
+    return fit_trees(td, [None], max_depth, min_leaf, weights=weights)[0]
 
 
-def train_cart(matrix: FeatureMatrix, max_depth: int = 6, min_leaf: int = 1,
-               weights: np.ndarray | None = None) -> TreeModel:
+def train_cart(matrix: FeatureMatrix, max_depth: int = 6, min_leaf: int = 1) -> TreeModel:
     """Gini-greedy binary tree. A single-class matrix yields a constant
     classifier (one leaf), not an error."""
-    return fit_tree(TrainingData(matrix), max_depth, min_leaf, weights=weights)
+    return fit_tree(TrainingData(matrix), max_depth, min_leaf)
 
 
-def train_stump(matrix: FeatureMatrix, weights: np.ndarray | None = None) -> TreeModel:
+def train_stump(matrix: FeatureMatrix) -> TreeModel:
     """Depth-1 tree: the single best Gini split."""
-    return train_cart(matrix, max_depth=1, min_leaf=1, weights=weights)
+    return train_cart(matrix, max_depth=1, min_leaf=1)

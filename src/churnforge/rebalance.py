@@ -7,28 +7,9 @@ set, retrain the chosen one on the oversampled set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .features import FeatureMatrix
-
-STRATEGIES = ("undersample", "oversample")
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    strategy: str
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-
-
-def resample(matrix: FeatureMatrix, config: SamplerConfig) -> FeatureMatrix:
-    fn = undersample if config.strategy == "undersample" else oversample
-    return fn(matrix, config.seed)
 
 
 def _split_classes(matrix: FeatureMatrix):

@@ -20,7 +20,7 @@ from .evaluation import compare_learners, confusion, rank_features, select_best
 from .features import (FeatureMatrix, TableIndex, extract_churn, extract_winback,
                        read_matrix, standard_windows, write_matrix)
 from .generator import GeneratorConfig, generate
-from .learners import ALGORITHMS, LearnerSpec, model_features, predict_matrix, train
+from .learners import ALGORITHMS, LearnerSpec, predict_matrix, train
 from .model_io import load_model, save_model
 from .months import Month
 from .rebalance import oversample, undersample
@@ -282,6 +282,9 @@ def cmd_train_final(cfg: PipelineConfig) -> str:
     model = train(balanced, cfg.spec_for(name))
     path = _final_model_path(cfg, name)
     save_model(model, path)
+    stale = cfg.path("model.cfm" if path.endswith(".adt") else "model.adt")
+    if os.path.exists(stale):  # predict loads whichever model file it finds
+        os.remove(stale)
     return f"task {cfg.task_id} retrained {name} on {balanced.n_rows} rows -> {path}"
 
 
@@ -308,7 +311,7 @@ def rank_predictions(billing_ids: list[str], scores, direction: str,
 def cmd_predict(cfg: PipelineConfig, holdout: bool = False) -> str:
     model = _load_final_model(cfg)
     matrix = read_matrix(cfg.path("test.csv"))
-    kinds = model_features(model)
+    kinds = model.features()
     missing = sorted(kinds.keys() - set(matrix.feature_names))
     if missing:
         raise ValueError(f"{cfg.path('test.csv')} lacks feature columns the model uses: "

@@ -8,7 +8,6 @@ import pytest
 from conftest import make_matrix
 
 from churnforge import LearnerSpec, TreeModel, train, train_bayes
-from churnforge.learners import model_features
 from test_trees import walk_score
 
 
@@ -43,7 +42,7 @@ def _walk_score(model, row):
 def test_tree_batch_scoring_routes_an_absent_feature_as_missing(spec):
     m = _two_feature_matrix()
     model = train(m, spec)
-    assert "a" in model_features(model)
+    assert "a" in model.features()
     only_b = make_matrix({"b": m.columns["b"].tolist()})
     rows = [{"b": float(v)} for v in m.columns["b"]]
     assert model.score_matrix(only_b).tolist() == [model.score_row(r) for r in rows]

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import make_matrix
 
-from churnforge import read_matrix, save_model, train_cart, write_matrix
+from churnforge import load_model, read_matrix, save_model, train_cart, write_matrix
 from churnforge.cli import main
 from churnforge.tasks import rank_predictions
 
@@ -97,6 +97,26 @@ def test_loyal_task_reuses_churn_extraction_and_reverses(workdir):
         encoding="utf-8").splitlines()[1:]
     scores = [float(line.split(",")[1]) for line in lines]
     assert scores == sorted(scores)  # loyal = ascending churn score
+
+
+def test_train_final_with_another_learner_replaces_the_model(workdir, tmp_path):
+    """After train-final with adtree then forest, one model file is left
+    and predict scores the forest, not the older ADTree."""
+    out = str(tmp_path / "out")
+    assert _run(workdir, "extract", "--task", "1", "--out", out) == 0
+    for learner in ("adtree", "forest"):
+        cfg = tmp_path / f"{learner}.cfg"
+        text = Path(workdir["config"]).read_text(encoding="utf-8").replace(
+            "learners = stump,cart,bayes", "learners = adtree,forest")
+        cfg.write_text(text + f"final_learner = {learner}\nforest.n_trees = 5\n",
+                       encoding="utf-8")
+        assert main(["train-final", "--task", "1", "--config", str(cfg), "--out", out]) == 0
+    assert sorted(p.name for p in Path(out).glob("task1_model.*")) == ["task1_model.cfm"]
+    assert _run(workdir, "predict", "--task", "1", "--top-n", "1", "--out", out) == 0
+    top = Path(out, "task1_predictions.csv").read_text(encoding="utf-8").splitlines()[1]
+    forest = load_model(str(Path(out, "task1_model.cfm")))
+    assert float(top.split(",")[1]) == forest.score_matrix(
+        read_matrix(str(Path(out, "task1_test.csv")))).max()
 
 
 def test_loyal_ranking_is_exact_reverse_for_unique_scores():

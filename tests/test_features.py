@@ -12,8 +12,7 @@ import pytest
 from churnforge import (GeneratorConfig, TelcoDataset, extract_churn, extract_winback,
                         generate, read_matrix, standard_windows, write_matrix)
 from churnforge.data import BillingMonthRecord, SubscriberRecord, UsageMonthRecord
-from churnforge.features import (CATEGORICAL, NUMERIC, FeatureMatrix, WindowSpec, derive,
-                                 monthly_average)
+from churnforge.features import CATEGORICAL, NUMERIC, FeatureMatrix, WindowSpec, derive
 from churnforge.months import Month, month_range
 
 
@@ -166,8 +165,6 @@ def test_derive_arithmetic():
     assert d["DIFF_CURRENT_LAST_BILL_AMT_avg"] == 10.0
     assert d["DIFF_AMT_2PAY_PRICE_START"] == pytest.approx(-9.0)
     assert math.isnan(derive({"Price_Start": 69.0})["DIFF_AMT_2PAY_PRICE_START"])
-    assert monthly_average([100.0, 200.0, 300.0]) == 200.0
-    assert math.isnan(monthly_average([100.0, float("nan"), 300.0]))
 
 
 def test_tenure_features():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from churnforge import SamplerConfig, oversample, resample, undersample
+from churnforge import oversample, undersample
 from conftest import make_matrix
 
 
@@ -83,15 +83,6 @@ def test_samplers_deterministic_and_seed_sensitive():
     assert undersample(m, 7) == undersample(m, 7)
     assert oversample(m, 7) == oversample(m, 7)
     assert undersample(m, 7) != undersample(m, 8)
-
-
-def test_sampler_config_dispatch():
-    rng = np.random.default_rng(7)
-    m = _random_matrix(rng, 5, 20)
-    assert resample(m, SamplerConfig("undersample", seed=2)) == undersample(m, 2)
-    assert resample(m, SamplerConfig("oversample", seed=2)) == oversample(m, 2)
-    with pytest.raises(ValueError, match="strategy"):
-        SamplerConfig("smote")
 
 
 def test_single_class_rejected():

@@ -14,7 +14,6 @@ from test_trees import walk_score
 
 from churnforge import (ALGORITHMS, LearnerSpec, cli, load_model, parse_adtree, predict_matrix,
                         train, train_adtree, train_cart)
-from churnforge.learners import model_features
 from churnforge.model_io import model_to_dict
 
 
@@ -51,7 +50,7 @@ def test_missing_category_values_score_as_missing(missing):
     assert model_to_dict(adt) == model_to_dict(train_adtree(base, n_boost_rounds=3))
     cart = train_cart(base, max_depth=2)
     for model, oracle in ((adt, path_enumeration_score), (cart, walk_score)):
-        assert "loc" in model_features(model)
+        assert "loc" in model.features()
         expected = [oracle(model, base.row(i)) for i in range(base.n_rows)]
         assert model.score_matrix(m).tolist() == expected
         assert [model.score_row(m.row(i)) for i in range(m.n_rows)] == expected

@@ -441,9 +441,14 @@ def test_valid_uncanonical_cells_read_as_int_and_float_do(small_tables, tmp_path
     _write_files(tmp_path, files, rng)
     decoded = []
     texts_of = data._TableReader.texts
-    monkeypatch.setattr(data._TableReader, "texts",
-                        lambda self, fields: decoded.extend(texts_of(self, fields))
-                        or decoded[len(decoded) - len(fields):])
+
+    def numeric_texts(self, fields):  # a date column decodes every cell
+        texts = texts_of(self, fields)
+        if {self.names[k % len(self.names)] for k in fields.tolist()}.isdisjoint(data._DATES):
+            decoded.extend(texts)
+        return texts
+
+    monkeypatch.setattr(data._TableReader, "texts", numeric_texts)
     ours, reference = _read_both(tmp_path)
     assert isinstance(ours, TelcoDataset) and ours == reference
     assert sorted(decoded) == sorted(injected)

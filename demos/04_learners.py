@@ -16,9 +16,12 @@ ds = generate(GeneratorConfig(seed=11, n_consumers=1500, n_smes=100,
 balanced = undersample(extract_churn(ds, standard_windows("churn", "train")), seed=5)
 print(f"balanced training matrix: {balanced.n_rows} rows\n")
 
+# a spec sets only hyperparameters its algorithm reads; the rest keep the
+# training function's defaults
+settings = {"adtree": {"n_boost_rounds": 8}, "bagging": {"n_trees": 10},
+            "forest": {"n_trees": 10}, "adaboost": {"n_boost_rounds": 8}}
 for algo in ALGORITHMS:
-    spec = LearnerSpec(algorithm=algo, seed=0, n_trees=10, n_boost_rounds=8)
-    model = train(balanced, spec)
+    model = train(balanced, LearnerSpec(algo, **settings.get(algo, {})))
     _, predicted = predict_matrix(model, balanced)
     acc = float((predicted == balanced.labels).mean())
     print(f"{algo:9s} training accuracy {acc:5.1%}")

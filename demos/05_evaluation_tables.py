@@ -14,13 +14,9 @@ ds = generate(GeneratorConfig(seed=11, n_consumers=2500, n_smes=150,
 matrix = extract_churn(ds, standard_windows("churn", "train"))
 balanced = undersample(matrix, seed=5)
 
-specs = [
-    LearnerSpec("stump"),
-    LearnerSpec("cart", max_depth=6),
-    LearnerSpec("adtree", n_boost_rounds=10),
-    LearnerSpec("bayes"),
-    LearnerSpec("forest", n_trees=25, max_depth=8, seed=1),
-]
+# each learner at the pipeline's defaults; the forest's member draws use seed 1
+specs = [LearnerSpec("stump"), LearnerSpec("cart"), LearnerSpec("adtree"),
+         LearnerSpec("bayes"), LearnerSpec("forest", seed=1)]
 report = compare_learners(balanced, specs, k=10, seed=3)
 print(f"10-fold comparison on {balanced.n_rows} balanced rows:\n")
 print(report.render_text())

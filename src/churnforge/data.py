@@ -518,7 +518,7 @@ def _plain_fields(raw: bytes):
         stop = raw.find(b"\n", start + _SPLIT_BYTES) + 1 or len(raw)
         part = buf[start:stop]
         seps = np.flatnonzero((part == 44) | (part == 10)).astype(offset)
-        lf = np.flatnonzero(part[seps] == 10)  # each line's LF, as an index into seps
+        lf = np.flatnonzero(part.take(seps) == 10)  # each line's LF, as an index into seps
         lengths = np.diff(seps[lf], prepend=-1) - 1
         if lengths.max() > csv.field_size_limit():
             return None

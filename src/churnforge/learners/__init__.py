@@ -12,6 +12,8 @@ and votes, 0 for the others), so exact ties fall to class 0.
 
 from __future__ import annotations
 
+import inspect
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,65 +25,53 @@ from .conditions import SplitCondition, TrainingData
 from .ensembles import EnsembleModel, train_adaboost, train_bagging, train_forest
 from .trees import TreeModel, train_cart, train_stump
 
-ALGORITHMS = ("stump", "cart", "adtree", "bayes", "bagging", "forest", "adaboost")
+
+def _reads(fit) -> dict[str, type]:
+    """{name: type} of a training function's keyword parameters (`int`
+    for `int | None`)."""
+    params = list(inspect.signature(fit, eval_str=True).parameters.values())[1:]
+    return {p.name: (typing.get_args(p.annotation) or [p.annotation])[0] for p in params}
+
+
+# algorithm -> (its training function, {hyperparameter: type} of the keyword
+# parameters that function reads). The function's keyword defaults are the
+# learner's defaults, and it checks their bounds.
+LEARNERS = {algorithm: (fit, _reads(fit)) for algorithm, fit in (
+    ("stump", train_stump), ("cart", train_cart), ("adtree", train_adtree),
+    ("bayes", train_bayes), ("bagging", train_bagging), ("forest", train_forest),
+    ("adaboost", train_adaboost))}
+ALGORITHMS = tuple(LEARNERS)
 
 
 @dataclass(frozen=True)
 class LearnerSpec:
+    """An algorithm and the hyperparameters set for it. A field left None
+    takes the training function's default, and a field the algorithm does
+    not read is ignored."""
     algorithm: str
     name: str | None = None  # display id; defaults to algorithm
-    max_depth: int = 6
-    min_leaf: int = 1
-    n_trees: int = 25
-    n_boost_rounds: int = 10
+    max_depth: int | None = None
+    min_leaf: int | None = None
+    n_trees: int | None = None
+    n_boost_rounds: int | None = None
     features_per_split: int | None = None
-    base_algorithm: str = "cart"
-    bootstrap: bool = True
-    seed: int = 0
+    base_algorithm: str | None = None
+    bootstrap: bool | None = None
+    seed: int | None = None
 
     @property
     def display_name(self) -> str:
         return self.name or self.algorithm
 
-    def validate(self):
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        for attr in ("max_depth", "min_leaf", "n_trees"):
-            if getattr(self, attr) < 1:
-                raise ValueError(f"{attr} must be a positive integer")
-        if self.n_boost_rounds < 0:
-            raise ValueError("n_boost_rounds must be >= 0")
-        if self.features_per_split is not None and self.features_per_split < 1:
-            raise ValueError("features_per_split must be a positive integer")
-
 
 def train(matrix: FeatureMatrix, spec: LearnerSpec):
-    """Train the algorithm named by the spec; deterministic given
-    (matrix, spec, seed)."""
-    spec.validate()
-    a = spec.algorithm
-    if a == "stump":
-        return train_stump(matrix)
-    if a == "cart":
-        return train_cart(matrix, max_depth=spec.max_depth, min_leaf=spec.min_leaf)
-    if a == "adtree":
-        return train_adtree(matrix, n_boost_rounds=spec.n_boost_rounds)
-    if a == "bayes":
-        return train_bayes(matrix)
-    if a == "bagging":
-        return train_bagging(matrix, n_trees=spec.n_trees, seed=spec.seed,
-                             bootstrap=spec.bootstrap, max_depth=spec.max_depth,
-                             min_leaf=spec.min_leaf)
-    if a == "forest":
-        return train_forest(matrix, n_trees=spec.n_trees, seed=spec.seed,
-                            features_per_split=spec.features_per_split,
-                            bootstrap=spec.bootstrap, max_depth=spec.max_depth,
-                            min_leaf=spec.min_leaf)
-    if a == "adaboost":
-        return train_adaboost(matrix, n_boost_rounds=max(spec.n_boost_rounds, 1),
-                              base_algorithm=spec.base_algorithm,
-                              max_depth=spec.max_depth, min_leaf=spec.min_leaf)
-    raise AssertionError(a)
+    """Train the algorithm named by the spec on the hyperparameters the spec
+    sets and the algorithm reads; deterministic given (matrix, spec)."""
+    if spec.algorithm not in LEARNERS:
+        raise ValueError(f"unknown algorithm {spec.algorithm!r}")
+    fit, reads = LEARNERS[spec.algorithm]
+    return fit(matrix, **{key: getattr(spec, key) for key in reads
+                          if getattr(spec, key) is not None})
 
 
 def predict_matrix(model, matrix: FeatureMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -91,7 +81,7 @@ def predict_matrix(model, matrix: FeatureMatrix) -> tuple[np.ndarray, np.ndarray
 
 
 __all__ = [
-    "ALGORITHMS", "LearnerSpec", "train", "predict_matrix",
+    "ALGORITHMS", "LEARNERS", "LearnerSpec", "train", "predict_matrix",
     "SplitCondition", "TrainingData",
     "TreeModel", "train_cart", "train_stump",
     "ADTreeModel", "PredictionNode", "Splitter", "train_adtree",

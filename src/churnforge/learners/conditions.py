@@ -420,15 +420,6 @@ class GiniSearch:
     def root(self, member: int) -> Node:
         return self.node(member, np.flatnonzero(self.packed[member]))
 
-    def best(self, rows: np.ndarray, features: list[str]):
-        """(condition, mask over `rows` routed left, score) of the best split
-        of the first member's node holding `rows` (ascending) over
-        `features`, or None."""
-        index = {f: i for i, f in enumerate(self.td.features)}
-        picked = np.array(sorted(index[f] for f in features), dtype=np.int64)
-        found = self.split([self.node(0, rows)], [picked])[0]
-        return None if found is None else found[:3]
-
     def candidates(self, nodes: list[Node], batch: Batch, features: list[np.ndarray]):
         """The line_chunks of `nodes` (rows in `batch`) with, at each
         candidate, whether missing rows go left and the rows and class-1

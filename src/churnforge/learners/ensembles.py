@@ -63,6 +63,8 @@ def _train_members(td: TrainingData, seed: int, indexes: list[int], bootstrap: b
     is a pure function of (matrix, seed, index): its rng draws its
     bootstrap sample (the multiplicity of each row in n draws with
     replacement), then its features, and members do not interact."""
+    if not indexes:
+        raise ValueError("n_trees must be positive")
     rngs = [_member_rng(seed, i) for i in indexes]
     counts = None
     if bootstrap:
@@ -81,11 +83,9 @@ def _train_member(data: FeatureMatrix | TrainingData, seed: int, index: int, boo
                           features_per_split)[0]
 
 
-def train_bagging(matrix: FeatureMatrix, n_trees: int = 25, seed: int = 0,
+def train_bagging(matrix: FeatureMatrix, n_trees: int = 15, seed: int = 0,
                   bootstrap: bool = True, max_depth: int = 6,
                   min_leaf: int = 1) -> EnsembleModel:
-    if n_trees < 1:
-        raise ValueError("n_trees must be positive")
     return EnsembleModel(VOTE, _train_members(TrainingData(matrix), seed, list(range(n_trees)),
                                               bootstrap, max_depth, min_leaf, None))
 
@@ -93,10 +93,12 @@ def train_bagging(matrix: FeatureMatrix, n_trees: int = 25, seed: int = 0,
 def train_forest(matrix: FeatureMatrix, n_trees: int = 25, seed: int = 0,
                  features_per_split: int | None = None, bootstrap: bool = True,
                  max_depth: int = 8, min_leaf: int = 1) -> EnsembleModel:
-    if n_trees < 1:
-        raise ValueError("n_trees must be positive")
+    """Bagged trees that each draw `features_per_split` features at every
+    node (by default the rounded square root of the feature count)."""
     if features_per_split is None:
         features_per_split = max(1, int(round(math.sqrt(len(matrix.feature_names)))))
+    elif features_per_split < 1:
+        raise ValueError("features_per_split must be positive")
     return EnsembleModel(VOTE, _train_members(TrainingData(matrix), seed, list(range(n_trees)),
                                               bootstrap, max_depth, min_leaf, features_per_split))
 
@@ -107,9 +109,11 @@ def _constant_member(matrix: FeatureMatrix) -> TreeModel:
 
 
 def train_adaboost(matrix: FeatureMatrix, n_boost_rounds: int = 20,
-                   base_algorithm: str = "stump", max_depth: int = 3,
+                   base_algorithm: str = "stump", max_depth: int = 6,
                    min_leaf: int = 1) -> EnsembleModel:
-    """Weighted-error boosting with member weight 0.5*ln((1-e)/e).
+    """Weighted-error boosting with member weight 0.5*ln((1-e)/e), over
+    stumps or over CART trees of `max_depth` and `min_leaf` (a stump base
+    reads neither).
 
     Stops when a round's weighted error reaches 0 (the perfect member is
     kept) or 0.5 or worse (the member is dropped). If no member survives,

@@ -99,7 +99,7 @@ def grow(search: GiniSearch, max_depth: int, features_per_split: int | None,
             stacks[node.member] += [(tree.right, right, depth + 1), (tree.left, left, depth + 1)]
 
 
-def fit_trees(td: TrainingData, rngs: list, max_depth: int = 6, min_leaf: int = 1,
+def fit_trees(td: TrainingData, rngs: list, max_depth: int, min_leaf: int,
               counts: np.ndarray | None = None, weights: np.ndarray | None = None,
               features_per_split: int | None = None) -> list[TreeModel]:
     """Grow one tree per rng on presorted data, in lockstep; `counts` holds
@@ -116,7 +116,7 @@ def fit_trees(td: TrainingData, rngs: list, max_depth: int = 6, min_leaf: int = 
             for root in grow(search, max_depth, features_per_split, rngs)]
 
 
-def fit_tree(td: TrainingData, max_depth: int = 6, min_leaf: int = 1,
+def fit_tree(td: TrainingData, max_depth: int, min_leaf: int,
              weights: np.ndarray | None = None) -> TreeModel:
     """Grow one tree on presorted data, each row weighted by `weights` if given."""
     return fit_trees(td, [None], max_depth, min_leaf, weights=weights)[0]

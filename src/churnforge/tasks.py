@@ -20,7 +20,7 @@ from .evaluation import compare_learners, confusion, rank_features, select_best
 from .features import (FeatureMatrix, TableIndex, extract_churn, extract_winback,
                        read_matrix, standard_windows, write_matrix)
 from .generator import GeneratorConfig, generate
-from .learners import ALGORITHMS, LearnerSpec, predict_matrix, train
+from .learners import ALGORITHMS, LEARNERS, LearnerSpec, predict_matrix, train
 from .model_io import load_model, save_model
 from .months import Month
 from .rebalance import oversample, undersample
@@ -81,22 +81,6 @@ def filter_dataset(dataset: TelcoDataset, task: TaskSpec) -> TelcoDataset:
 # configuration
 # ---------------------------------------------------------------------------
 
-_DEFAULT_LEARNERS = "stump,cart,adtree,bayes,bagging,forest,adaboost"
-
-_LEARNER_DEFAULTS = {
-    "stump": {},
-    "cart": {"max_depth": 6},
-    "adtree": {"n_boost_rounds": 10},
-    "bayes": {},
-    "bagging": {"n_trees": 15, "max_depth": 6},
-    "forest": {"n_trees": 25, "max_depth": 8},
-    "adaboost": {"n_boost_rounds": 20, "base_algorithm": "stump"},
-}
-
-_INT_SPEC_KEYS = {"max_depth", "min_leaf", "n_trees", "n_boost_rounds",
-                  "features_per_split", "seed"}
-
-
 @dataclass
 class PipelineConfig:
     data_dir: str = "data"
@@ -105,7 +89,7 @@ class PipelineConfig:
     seed: int = 42
     k_folds: int = 10
     top_n: int | None = None
-    learners: list[str] = field(default_factory=lambda: _DEFAULT_LEARNERS.split(","))
+    learners: list[str] = field(default_factory=lambda: list(ALGORITHMS))
     learner_overrides: dict[str, dict] = field(default_factory=dict)
     final_learner: str | None = None
     n_consumers: int = 6000
@@ -127,9 +111,8 @@ class PipelineConfig:
         for name in self.learners:
             if name not in ALGORITHMS:
                 raise ValueError(f"unknown learner {name!r} (choose from {', '.join(ALGORITHMS)})")
-            kwargs = dict(_LEARNER_DEFAULTS[name])
-            kwargs.update(self.learner_overrides.get(name, {}))
-            specs.append(LearnerSpec(algorithm=name, seed=self.seed, **kwargs))
+            specs.append(LearnerSpec(**{"algorithm": name, "seed": self.seed,
+                                        **self.learner_overrides.get(name, {})}))
         return specs
 
     def spec_for(self, name: str) -> LearnerSpec:
@@ -171,6 +154,16 @@ def _month_text(raw: str) -> str:
     return raw
 
 
+def _flag(raw: str) -> bool:
+    flags = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+    if raw.lower() not in flags:
+        raise ValueError(f"expected true or false, got {raw!r}")
+    return flags[raw.lower()]
+
+
+_PARSE = {int: int, bool: _flag, str: str}  # a hyperparameter's type -> its parser
+
+
 def _config_value(key: str, parse, raw: str):
     try:
         return parse(raw)
@@ -196,14 +189,14 @@ def build_config(file_values: dict[str, str], **overrides) -> PipelineConfig:
             setattr(cfg, renames.get(key, key), _config_value(key, scalar[key], raw))
         elif "." in key:
             algo, param = key.split(".", 1)
-            if algo not in ALGORITHMS:
-                raise ValueError(f"unknown learner in config key {key!r}")
-            value: object = raw
-            if param in _INT_SPEC_KEYS:
-                value = _config_value(key, int, raw)
-            elif param == "bootstrap":
-                value = raw.lower() in ("1", "true", "yes")
-            cfg.learner_overrides.setdefault(algo, {})[param] = value
+            if algo not in LEARNERS:
+                raise ValueError(f"config key {key}: unknown learner {algo!r}")
+            reads = LEARNERS[algo][1]
+            if param not in reads:
+                raise ValueError(f"config key {key}: {algo} does not read {param} "
+                                 f"(it reads {', '.join(reads) or 'none'})")
+            cfg.learner_overrides.setdefault(algo, {})[param] = _config_value(
+                key, _PARSE[reads[param]], raw)
         else:
             raise ValueError(f"unknown config key {key!r}")
     for key, value in overrides.items():

@@ -215,6 +215,15 @@ def test_negative_seed_fails_naming_the_field(tmp_path, capsys):
     ("months_start = 2011-13", "config key months_start: month out of range: 13"),
     ("forest.n_trees = many", "config key forest.n_trees: invalid literal for int() with "
                               "base 10: 'many'"),
+    ("cart.depth = 3", "config key cart.depth: cart does not read depth "
+                       "(it reads max_depth, min_leaf)"),
+    ("bayes.max_depth = 3", "config key bayes.max_depth: bayes does not read max_depth "
+                            "(it reads none)"),
+    ("forest.bootstrap = flase", "config key forest.bootstrap: expected true or false, "
+                                 "got 'flase'"),
+    ("stump.n_trees = 5", "config key stump.n_trees: stump does not read n_trees "
+                          "(it reads none)"),
+    ("tree.max_depth = 3", "config key tree.max_depth: unknown learner 'tree'"),
 ])
 def test_bad_config_value_names_its_key(tmp_path, capsys, line, message):
     cfg = tmp_path / "c.cfg"
@@ -222,6 +231,21 @@ def test_bad_config_value_names_its_key(tmp_path, capsys, line, message):
     assert main(["generate", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "data").exists()
+
+
+def test_compare_records_a_learner_its_trainer_rejects_as_failed(workdir, tmp_path):
+    """A value out of its bound is reported by the learner that reads it,
+    not clamped: zero AdaBoost rounds fail, and the other learners run."""
+    out = str(tmp_path / "out")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(Path(workdir["config"]).read_text(encoding="utf-8").replace(
+        "learners = stump,cart,bayes", "learners = stump,adaboost")
+        + "adaboost.n_boost_rounds = 0\n", encoding="utf-8")
+    assert main(["extract", "--task", "1", "--config", str(cfg), "--out", out]) == 0
+    assert main(["compare", "--task", "1", "--config", str(cfg), "--out", out]) == 0
+    text = Path(out, "task1_comparison.txt").read_text(encoding="utf-8")
+    assert text.endswith("adaboost: FAILED (n_boost_rounds must be positive)\n")
+    assert Path(out, "task1_best.txt").read_text(encoding="utf-8") == "stump\n"
 
 
 def test_predict_rejects_a_feature_read_as_another_kind(tmp_path, capsys):

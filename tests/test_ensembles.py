@@ -108,3 +108,10 @@ def test_empty_or_invalid_params_rejected():
         train_bagging(m, n_trees=0)
     with pytest.raises(ValueError):
         train_adaboost(m, n_boost_rounds=0)
+
+
+def test_forest_rejects_zero_features_per_split():
+    """Trees that may read no feature would all be leaves."""
+    m = _noise_matrix(np.random.default_rng(4), n=20)
+    with pytest.raises(ValueError, match="features_per_split must be positive"):
+        train_forest(m, features_per_split=0)

@@ -32,7 +32,8 @@ def _mixed_matrix(n=400):
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_row_path_is_the_batch_path_on_one_row(algorithm):
     m = _mixed_matrix()
-    model = train(m, LearnerSpec(algorithm, n_trees=5, n_boost_rounds=5, max_depth=3, seed=3))
+    model = train(m, LearnerSpec(algorithm, n_trees=5, n_boost_rounds=5, max_depth=3, seed=3,
+                                     base_algorithm="cart"))
     scores, labels = predict_matrix(model, m)
     rows = [m.row(i) for i in range(m.n_rows)]
     assert [model.predict_row(r) for r in rows] == labels.tolist()

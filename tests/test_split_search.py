@@ -162,10 +162,10 @@ def test_split_search_matches_brute_force_reference():
             rows = np.sort(rng.choice(rows, size=max(1, len(rows) // 2), replace=False))
         search = GiniSearch(td, counts=counts if mode == 1 else None, weights=weights,
                             min_leaf=min_leaf)
-        found = search.best(rows, td.features)
+        found = search.split([search.node(0, rows)], [np.arange(len(td.features))])[0]
         got = None
         if found is not None:
-            cond, _, score = found
+            cond, _, score = found[:3]
             operand = cond.threshold if cond.kind == "numeric_lt" else cond.category
             got = (cond.feature, operand, cond.missing_goes, score)
         assert got == _reference_split(matrix, counts, weights, min_leaf, list(rows))

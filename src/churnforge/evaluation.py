@@ -55,11 +55,16 @@ def confusion(labels: np.ndarray, predicted: np.ndarray) -> ConfusionMatrix:
     )
 
 
+def check_folds(k: int) -> None:
+    """The bound on the fold count, for ``stratified_kfold`` and the config."""
+    if k < 2:
+        raise ValueError(f"k must be at least 2, got {k}")
+
+
 def stratified_kfold(labels: np.ndarray, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """k (train_indices, test_indices) pairs; test folds partition the rows
     with per-class counts within one row of exact proportionality."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
+    check_folds(k)
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
     fold_of = np.empty(len(labels), dtype=np.int64)

@@ -46,6 +46,9 @@ _PRICES = {  # cents
 }
 _SERVICES = ("voice", "voice_broadband")  # indexed by whether the service carries data
 _UL_MU = np.log(0.15)
+# ``_draw``'s per-record integers, in the order of its rows
+_SCALARS = ("act", "act_day", "tenure", "tier", "term", "term_day", "back", "back_day", "data",
+            "last_bill")
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,7 @@ class GeneratorConfig:
             if not isinstance(getattr(self, name), Month):
                 raise ValueError(f"{name} must be a Month, got {getattr(self, name)!r}")
         if self.n_consumers + self.n_smes == 0:
-            raise ValueError("need a positive number of subscribers")
+            raise ValueError("n_consumers and n_smes must not both be 0")
         for name in ("churn_rate", "winback_rate"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
@@ -76,9 +79,9 @@ class GeneratorConfig:
         if not 0.0 <= self.signal_strength <= 1.0:
             raise ValueError(f"signal_strength must be in [0, 1], got {self.signal_strength}")
         if self.months_end < self.months_start:
-            raise ValueError("empty months range")
+            raise ValueError("months_end must not precede months_start")
         if self.months_end.diff(self.months_start) < 5:
-            raise ValueError("months range must cover at least 6 months")
+            raise ValueError("months_end must be at least 5 months after months_start")
 
 
 def _cdf(p) -> np.ndarray:
@@ -117,51 +120,134 @@ def _owners(i: int) -> tuple[int, int]:
     return i, i
 
 
+# SeedSequence's hash constants (NEP 19) and PCG64's 128-bit multiplier
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg_states(seed: int, segment: int, idxs) -> np.ndarray:
+    """Row i is ``SeedSequence((seed, segment, idxs[i])).generate_state(4,
+    np.uint64)``, hashed for every record at once (each idx < 2**32).
+
+    SeedSequence's algorithm on uint32 arrays, which wrap as its arithmetic
+    does: the entropy (each int as its 32-bit words, least significant
+    first) is hashed into a pool of four words, zero-padded; each pool word
+    is mixed into every other; entropy words past the fourth are mixed into
+    all four; the pool is hashed out to eight words, paired little-endian.
+    The hash constant steps the same way whatever the entropy, so it is a
+    Python int.
+    """
+    words = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    idx = np.asarray(idxs, np.uint32)
+    entropy = np.zeros((max(4, len(words) + 2), len(idx)), np.uint32)
+    entropy[:len(words)] = np.array(words, np.uint32)[:, None]
+    entropy[len(words)], entropy[len(words) + 1] = segment, idx
+    const = _INIT_A
+
+    def hashmix(value, mult=_MULT_A):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+
+    def mix(x, y):
+        out = x * _MIX_L - y * _MIX_R
+        return out ^ out >> np.uint32(16)
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = _INIT_B
+    out = [hashmix(pool[i % 4], _MULT_B).astype(np.uint64) for i in range(8)]
+    return np.stack([out[i] | out[i + 1] << np.uint64(32) for i in range(0, 8, 2)], axis=1)
+
+
 def _draw(cfg: GeneratorConfig, segment: str, idxs, term_set, back_set) -> dict:
     """Phase 1: the draws of records ``idxs``, each from its own stream, into
-    per-record arrays and (record, coverage month) blocks. Two consecutive
-    ``random`` calls are made as one, which consumes the stream the same
-    way; bounded ``integers`` calls are never merged."""
+    per-record arrays and (record, coverage month) blocks.
+
+    A record's stream is ``np.random.default_rng((seed, segment, idx))``:
+    PCG64 seeded by that SeedSequence. ``_pcg_states`` hashes every record's
+    seed at once, and one Generator is set to each record's PCG64 state in
+    turn (``srandom``'s two steps on Python ints, no cached half-word), so
+    no Generator is built per record. Draws are merged only where one call
+    consumes the stream exactly as the separate calls do:
+
+    - a run of normals is one ``standard_normal`` call, scaled once per
+      segment afterwards by ``loc + scale * z``, which is what
+      ``Generator.normal`` computes; array ``loc``/``scale`` would be slower;
+    - a run of ``random`` calls is one call;
+    - bounded ``integers`` calls share one call only through per-element
+      bounds (``integers(low_array, high_array)`` draws each value as its own
+      call does); two sized or scalar calls are never merged otherwise.
+    """
     n, n_cov = len(idxs), cfg.months_end.diff(cfg.months_start) + 1
-    r = {f: np.zeros(n, np.int64) for f in ("act", "act_day", "tenure", "tier", "term",
-                                             "term_day", "back", "back_day", "last_bill")}
-    r.update(idx=np.array(idxs, np.int64), data=np.zeros(n, np.intp), pick=np.zeros((n, 3)),
+    scalars = np.zeros((len(_SCALARS), n), np.int64)  # one column per record
+    r = dict(zip(_SCALARS, scalars), idx=np.array(idxs, np.int64), pick=np.zeros((n, 3)),
              base=np.zeros((n, 4)), noise=np.zeros((n, 3, n_cov)))
     r.update({f: np.zeros((n, n_cov)) for f in ("pay", "reversal", "credit", "extra")})
     r.update({f: np.zeros((n, n_cov), np.int64) for f in ("amount", "day", "code")})
-    for k, idx in enumerate(idxs):
-        rng = np.random.default_rng((cfg.seed, 0 if segment == "consumer" else 1, idx))
+    pick, base, noise, pay, reversal, credit, amount, extra, day, code = (r[f] for f in (
+        "pick", "base", "noise", "pay", "reversal", "credit", "amount", "extra", "day", "code"))
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    n_tiers = [len(_PRICES.get((segment, service), ())) for service in _SERVICES]
+    # by month count m: the bounds of m request days, m request codes and the last bill
+    tail_bounds = [(np.array([1] * m + [0] * m + [0]),
+                    np.array([29] * m + [len(_REQUEST_CODES)] * m + [2000]))
+                   for m in range(n_cov + 1)]
+    states = _pcg_states(cfg.seed, 0 if segment == "consumer" else 1, idxs)
+    for k, (idx, words) in enumerate(zip(idxs, states)):
+        high_s, low_s, high_i, low_i = words.tolist()
+        inc = ((high_i << 64 | low_i) << 1 | 1) & _MASK128
+        bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": {
+            "state": ((inc + (high_s << 64 | low_s)) * _PCG_MULT + inc) & _MASK128, "inc": inc}}
         churner = idx in term_set
         data = int(segment == "consumer" or idx % 2 == 1)
         act = (-int(rng.integers(1, 61)) if churner or rng.random() < 0.88
                else int(rng.integers(0, n_cov - 1)))
-        r["act_day"][k], r["tenure"][k] = rng.integers(1, 29), rng.integers(0, 37)
-        r["pick"][k, 0] = rng.random()  # contract
-        r["tier"][k] = rng.integers(0, len(_PRICES[segment, _SERVICES[data]]))
-        rng.random(out=r["pick"][k, 1:])  # location, hsbb
-        term = n_cov + 3  # past the coverage end by more than the ramp
+        act_day, tenure = rng.integers(1, 29), rng.integers(0, 37)
+        pick[k, 0] = rng.random()  # contract
+        tier = rng.integers(0, n_tiers[data])
+        rng.random(out=pick[k, 1:])  # location, hsbb
+        # term: past the coverage end by more than the ramp
+        term, term_day, back, back_day = n_cov + 3, 0, 0, 0
         if churner:
             # termination months span [cov_start+3, cov_end+3]
             term = 3 + int(rng.integers(0, n_cov))
-            r["term_day"][k] = rng.integers(1, 29)
+            term_day = rng.integers(1, 29)
             if idx in back_set:
-                r["back"][k], r["back_day"][k] = rng.integers(2, 7), rng.integers(1, 29)
-        r["act"][k], r["term"][k], r["data"][k] = act, term, data
+                back, back_day = rng.integers(2, 7), rng.integers(1, 29)
         # at least one month: activation precedes cov_end, termination follows cov_start
         months = slice(max(act, 0), min(n_cov - 1, term) + 1)
         m = months.stop - months.start
-        if data:
-            r["base"][k, 0] = rng.normal(7.2, 0.55)
-        r["base"][k, 1:] = rng.normal(_UL_MU, 0.3), rng.normal(5.3, 0.6), rng.normal(3.2, 0.7)
-        r["noise"][k, :, months] = rng.normal(0.0, 0.18, size=(3, m))
-        r["pay"][k, months] = rng.normal(1.0, 0.05, size=m)
-        rng.random(out=r["reversal"][k, months])
-        rng.random(out=r["credit"][k, months])
-        r["amount"][k, months] = rng.integers(100, 3000, size=m)
-        rng.random(out=r["extra"][k, months])
-        r["day"][k, months] = rng.integers(1, 29, size=m)
-        r["code"][k, months] = rng.integers(0, len(_REQUEST_CODES), size=m)
-        r["last_bill"][k] = rng.integers(0, 2000)
+        z = rng.standard_normal(3 + data + 4 * m)  # base, noise and pay normals
+        base[k, 1 - data:] = z[:3 + data]
+        noise[k, :, months] = z[3 + data:3 + data + 3 * m].reshape(3, m)
+        pay[k, months] = z[-m:]
+        u = rng.random((2, m))
+        reversal[k, months], credit[k, months] = u[0], u[1]
+        amount[k, months] = rng.integers(100, 3000, size=m)
+        rng.random(out=extra[k, months])
+        tail = rng.integers(*tail_bounds[m])  # request days, request codes, last bill
+        day[k, months], code[k, months] = tail[:m], tail[m:-1]
+        scalars[:, k] = act, act_day, tenure, tier, term, term_day, back, back_day, data, tail[-1]
+    for block, loc, scale in ((base[:, 0], 7.2, 0.55), (base[:, 1], _UL_MU, 0.3),
+                              (base[:, 2], 5.3, 0.6), (base[:, 3], 3.2, 0.7),
+                              (noise, 0.0, 0.18), (pay, 1.0, 0.05)):
+        block *= scale  # cells outside a record's months are never read
+        block += loc
     return r
 
 

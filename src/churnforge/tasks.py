@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import TelcoDataset, check_integrity, read_tables, write_tables
-from .evaluation import compare_learners, confusion, rank_features, select_best
+from .evaluation import check_folds, compare_learners, confusion, rank_features, select_best
 from .features import (FeatureMatrix, TableIndex, extract_churn, extract_winback,
                        read_matrix, standard_windows, write_matrix)
 from .generator import GeneratorConfig, generate
@@ -171,9 +171,14 @@ def _config_value(key: str, parse, raw: str):
         raise ValueError(f"config key {key}: {exc}") from None
 
 
+def _positive(name: str, value: int | None) -> None:
+    if value is not None and value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def build_config(file_values: dict[str, str], **overrides) -> PipelineConfig:
-    """A PipelineConfig from config-file values; a value that does not
-    parse fails with one ValueError naming its key."""
+    """A PipelineConfig from config-file values and overrides, checked whole;
+    a bad config-file value fails with one ValueError naming its key."""
     cfg = PipelineConfig()
     scalar = {
         "data_dir": str, "out_dir": str, "task": int, "seed": int, "k_folds": int,
@@ -202,6 +207,18 @@ def build_config(file_values: dict[str, str], **overrides) -> PipelineConfig:
     for key, value in overrides.items():
         if value is not None:
             setattr(cfg, key, value)
+    checks = [("", cfg.generator_config().validate), ("task", lambda: cfg.task),
+              ("learners", cfg.learner_specs), ("k_folds", lambda: check_folds(cfg.k_folds)),
+              ("top_n", lambda: _positive("top_n", cfg.top_n)),
+              ("final_learner", lambda: cfg.final_learner and cfg.spec_for(cfg.final_learner))]
+    for key, check in checks:  # each field's owner check
+        try:
+            check()
+        except ValueError as exc:  # the generator's messages start with the field's name
+            key = key or str(exc).split(" ", 1)[0]
+            if key in file_values and overrides.get(renames.get(key, key)) is None:
+                raise ValueError(f"config key {key}: {exc}") from None
+            raise
     return cfg
 
 
@@ -315,8 +332,7 @@ def cmd_predict(cfg: PipelineConfig, holdout: bool = False) -> str:
         raise ValueError(f"{cfg.path('test.csv')} has feature kinds the model does not read: "
                          f"{'; '.join(differ)}")
     scores, predicted = predict_matrix(model, matrix)
-    top_n = cfg.top_n if cfg.top_n is not None else 100
-    ranked = rank_predictions(matrix.billing_ids, scores, cfg.task.direction, top_n)
+    ranked = rank_predictions(matrix.billing_ids, scores, cfg.task.direction, cfg.top_n or 100)
     with open(cfg.path("predictions.csv"), "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["billing_id", "score", "rank"])
@@ -338,8 +354,7 @@ def cmd_predict(cfg: PipelineConfig, holdout: bool = False) -> str:
 
 def cmd_rank_features(cfg: PipelineConfig) -> str:
     matrix = read_matrix(cfg.path("train.csv"))
-    top_n = cfg.top_n if cfg.top_n is not None else 15
-    ranking = rank_features(matrix, top_n)
+    ranking = rank_features(matrix, cfg.top_n or 15)
     with open(cfg.path("feature_ranking.csv"), "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["rank", "feature", "info_gain"])

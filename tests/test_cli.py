@@ -233,6 +233,40 @@ def test_bad_config_value_names_its_key(tmp_path, capsys, line, message):
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("command,line,message", [
+    ("extract", "churn_rate = 1.5", "churn_rate must be in (0, 1), got 1.5"),
+    ("extract", "seed = -1", "seed must be a non-negative integer, got -1"),
+    ("extract", "months_end = 2011-03", "months_end must be at least 5 months after months_start"),
+    ("extract", "k_folds = 1", "k must be at least 2, got 1"),
+    ("extract", "top_n = -5", "top_n must be at least 1, got -5"),
+    ("extract", "learners = stump,tree", "unknown learner 'tree' (choose from stump, cart, "
+                                         "adtree, bayes, bagging, forest, adaboost)"),
+    ("extract", "final_learner = tree", "learner 'tree' is not in the configured list"),
+    ("generate", "task = 9", "task must be 1..7, got 9"),
+])
+def test_every_command_checks_the_whole_config(workdir, tmp_path, capsys, command, line,
+                                               message):
+    """A field out of its bound fails at load, naming its key, in a command
+    that never reads the field; nothing is written."""
+    data = tmp_path / "data" if command == "generate" else workdir["data"]
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(Path(workdir["config"]).read_text(encoding="utf-8")
+                   + f"data_dir = {data}\nout_dir = {tmp_path / 'out'}\n{line}\n", encoding="utf-8")
+    assert main([command, "--config", str(cfg)]) == 1
+    key = line.split(" = ")[0]
+    assert capsys.readouterr().err == f"error: config key {key}: {message}\n"
+    assert not (tmp_path / "out").exists() and not (tmp_path / "data").exists()
+
+
+def test_a_bad_flag_is_checked_at_load(workdir, tmp_path, capsys):
+    """A flag's value is checked as a config value is, but named as the
+    field, since no config key holds it."""
+    out = tmp_path / "out"
+    assert _run(workdir, "extract", "--top-n", "-5", "--out", str(out)) == 1
+    assert capsys.readouterr().err == "error: top_n must be at least 1, got -5\n"
+    assert not out.exists()
+
+
 def test_compare_records_a_learner_its_trainer_rejects_as_failed(workdir, tmp_path):
     """A value out of its bound is reported by the learner that reads it,
     not clamped: zero AdaBoost rounds fail, and the other learners run."""

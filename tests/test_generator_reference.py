@@ -20,7 +20,7 @@ from churnforge import GeneratorConfig, generate
 from churnforge.data import TelcoDataset
 from churnforge.generator import (_LOCATION_W, _LOCATIONS, _PRICES, _REQUEST_CODES,
                                   _assemble, _build_service, _choose, _derive, _draw, _ids,
-                                  _owners)
+                                  _owners, _pcg_states)
 from churnforge.months import Month, month_range
 
 _RAMP = {0: 0.95, 1: 0.9, 2: 0.6, 3: 0.3}
@@ -85,9 +85,26 @@ def _monthly_reference(cfg, segment, idx, term_set, back_set):
     return out
 
 
-@pytest.mark.parametrize("signal_strength", [0.0, 0.8])
-def test_monthly_arrays_match_scalar_reference(signal_strength):
-    cfg = GeneratorConfig(seed=5, n_consumers=120, n_smes=60,
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3])
+@pytest.mark.parametrize("segment", [0, 1])
+def test_stream_states_are_seed_sequence_states(seed, segment):
+    """``_draw`` seeds each record's PCG64 from ``_pcg_states``, which must
+    be SeedSequence's own state for every seed length: one 32-bit word, two,
+    and three (past the four-word pool, so the extra mixing loop runs)."""
+    want = [np.random.SeedSequence((seed, segment, i)).generate_state(4, np.uint64)
+            for i in range(5000)]
+    got = _pcg_states(seed, segment, range(5000))
+    assert got.dtype == np.uint64 and (got == np.array(want)).all()
+
+
+@pytest.mark.parametrize("seed, signal_strength", [
+    pytest.param(5, 0.0, id="0.0"), pytest.param(5, 0.8, id="0.8"),
+    pytest.param(2**64 + 3, 0.8, id="seed_2**64+3-0.8"),
+])
+def test_monthly_arrays_match_scalar_reference(seed, signal_strength):
+    """Every draw of every record, redrawn by ``default_rng``; seed 2**64 + 3
+    has five entropy words, one past SeedSequence's pool."""
+    cfg = GeneratorConfig(seed=seed, n_consumers=120, n_smes=60,
                           signal_strength=signal_strength)
     for segment, n in (("consumer", 120), ("sme", 60)):
         term = frozenset(range(0, n, 3))

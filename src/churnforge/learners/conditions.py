@@ -15,16 +15,16 @@ lays out the lines of a batch of nodes by sorting their cells by (line,
 presort position), at a cost that follows the node sizes, in chunks of
 about _BLOCK_CELLS cells so that the temporaries stay a few megabytes, and
 marks their candidate cuts. Every search scores these, as SLIQ scores all
-open leaves in one pass over each attribute list: the Gini search the open
-nodes of every member of a fit (`GiniSearch.split`), AdaBoost's weighted
-Gini search its one node, ADTree's Z search every prediction node of a
-round, and the feature ranking the root. Each takes the first best
-candidate in (node, feature, cut) order, the tie rule's pick.
+open leaves in one pass over each attribute list: the Gini search all open
+nodes of a fit, one per member if it samples features (`GiniSearch.split`),
+AdaBoost's weighted Gini search its one node, ADTree's Z search every
+prediction node of a round, and the feature ranking the root. Each takes
+the first best candidate in (node, feature, cut) order, the tie rule's pick.
 
-A bootstrap member is an integer multiplicity vector over the rows of the
-fitted matrix, not a resampled copy of it. Every count is a sum of
-multiplicities, so Gini scores, min_leaf, missing routing, node sizes and
-leaf fractions are the integers a copied sample would give.
+A row's count is its multiplicity: stump, CART, bagging and forest fit
+the distinct rows (`TrainingData.merged`), and a bootstrap adds its draws
+over the matrix's rows. So Gini scores, min_leaf, missing routing, node
+sizes and leaf fractions are the integers that copies of the rows give.
 
 Unweighted Gini search is done in exact integer arithmetic (converted to
 float by one correctly-rounded division per candidate), so equal-valued
@@ -101,12 +101,13 @@ class RowScoring:
 class TrainingData:
     """Columnar view of a FeatureMatrix for training.
 
-    Features are listed in lexicographic order, which is the tie-break scan
-    order. `values` holds every feature as one float64 row, NaN = missing:
-    the numeric features first, then the categorical ones as codes into a
-    sorted vocabulary (`categories`). `order` holds each row's stable
-    argsort (missing values last) and `position` each cell's index into the
-    flattened `order`.
+    Features are listed in lexicographic order, the tie-break scan order.
+    `values` holds every feature as one float64 row, NaN = missing: the
+    numeric features first, then the categorical ones as codes into a sorted
+    vocabulary (`categories`). `order` holds each row's stable argsort
+    (missing values last), `position` each cell's index into the flattened
+    `order`, `index` each matrix row's row here and `multiplicity` how many
+    matrix rows each row stands for: the identity and ones, unless `merged`.
     """
 
     def __init__(self, matrix: FeatureMatrix):
@@ -137,6 +138,35 @@ class TrainingData:
         self.value_row = np.array([names.index(f) for f in self.features], dtype=np.int64)
         self.is_numeric = self.value_row < len(self.numeric)
         self.order = np.argsort(self.values, axis=1, kind="stable")
+        self.index, self.multiplicity = np.arange(n), np.ones(n, dtype=np.int64)
+
+    def merged(self) -> TrainingData:
+        """The distinct rows: equal labels and presort ranks in every feature
+        (so NaN equals NaN, and -0.0 equals 0.0), numbered by first occurrence
+        and counted in `multiplicity`. The presort is filtered, not rebuilt."""
+        n, key = self.n, self.y  # each row's key: its label, then its ranks in mixed radix
+        for values, order in zip(self.values, self.order):
+            ordered = values.take(order)
+            before = ordered[:-1]  # a run of NaN ends the order, and NaN != NaN
+            new = (ordered[1:] != before) & (before == before)
+            d = int(new.sum()) + 1
+            if d >= n:  # no two rows share this feature's value
+                return self
+            rank = np.zeros(n, dtype=np.int64)
+            rank[order[1:]] = new.cumsum()
+            if (int(key.max()) + 1) * d >= 1 << 62:  # renumbered before it overflows
+                key = np.unique(key, return_inverse=True)[1]
+            key = key * d + rank
+        first, key = np.unique(key, return_index=True, return_inverse=True)[1:]
+        kept = np.bincount(first, minlength=n).astype(bool)
+        td = object.__new__(TrainingData)  # shares the vocabularies; the position is rebuilt
+        td.__dict__ = {k: v for k, v in vars(self).items() if k != "position"}
+        td.index = (kept.cumsum() - 1)[first].take(key)
+        td.n, rows = len(first), np.flatnonzero(kept)
+        td.y, td.multiplicity = self.y[rows], np.bincount(td.index)
+        td.values = self.values.take(rows, axis=1)  # C-ordered: values[:, rows] is not
+        td.order = td.index.take(self.order[kept[self.order]]).reshape(-1, td.n)
+        return td
 
     @cached_property
     def position(self) -> np.ndarray:
@@ -375,10 +405,10 @@ class GiniSearch:
     """Best Gini splits of open nodes, for the members of one fit.
 
     `counts` holds each member's row multiplicities (a bootstrap draw), one
-    line per member; by default one member of ones. Without `weights` the
-    class sums are exact integer counts; with them (AdaBoost, one member)
-    they are weight sums, while min_leaf and missing routing still count
-    rows.
+    line per member; by default one member of `td.multiplicity`. Without
+    `weights` the class sums are exact integer counts; with them (AdaBoost,
+    one member, rows not merged) they are weight sums, while min_leaf and
+    missing routing still count rows.
 
     Splits maximize the sum-of-squares purity score: for class sums
     (aL, bL | aR, bR) the weighted child Gini is 1 - score/n with
@@ -396,7 +426,7 @@ class GiniSearch:
                  weights: np.ndarray | None = None, min_leaf: int = 1):
         self.td = td
         self.weights = weights
-        counts = np.ones((1, td.n), dtype=np.int64) if counts is None else np.atleast_2d(counts)
+        counts = td.multiplicity[None] if counts is None else np.atleast_2d(counts)
         if weights is not None and len(counts) != 1:
             raise ValueError("a weighted search grows one member")
         self.members = len(counts)

@@ -56,19 +56,21 @@ def _member_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng((seed, index))
 
 
-def _train_members(td: TrainingData, seed: int, indexes: list[int], bootstrap: bool,
-                   max_depth: int, min_leaf: int,
+def _train_members(data: FeatureMatrix | TrainingData, seed: int, indexes: list[int],
+                   bootstrap: bool, max_depth: int, min_leaf: int,
                    features_per_split: int | None) -> list[TreeModel]:
-    """Bagged trees number `indexes`, grown in lockstep on one presort. Each
-    is a pure function of (matrix, seed, index): its rng draws its
-    bootstrap sample (the multiplicity of each row in n draws with
-    replacement), then its features, and members do not interact."""
+    """Bagged trees number `indexes`, grown in lockstep on one presort of
+    the matrix's distinct rows. Each is a pure function of (matrix, seed,
+    index): its rng draws its bootstrap sample (n draws with replacement
+    over the matrix's n rows, counted through `td.index`), then its features."""
     if not indexes:
         raise ValueError("n_trees must be positive")
+    td = data if isinstance(data, TrainingData) else TrainingData(data).merged()
     rngs = [_member_rng(seed, i) for i in indexes]
     counts = None
     if bootstrap:
-        counts = np.array([np.bincount(rng.integers(0, td.n, size=td.n), minlength=td.n)
+        n = len(td.index)
+        counts = np.array([np.bincount(td.index.take(rng.integers(0, n, size=n)), minlength=td.n)
                            for rng in rngs]).reshape(len(rngs), td.n)
     return fit_trees(td, rngs, max_depth=max_depth, min_leaf=min_leaf, counts=counts,
                      features_per_split=features_per_split)
@@ -78,15 +80,14 @@ def _train_member(data: FeatureMatrix | TrainingData, seed: int, index: int, boo
                   max_depth: int, min_leaf: int,
                   features_per_split: int | None) -> TreeModel:
     """One bagged tree, alone; equal to member `index` of a lockstep fit."""
-    td = data if isinstance(data, TrainingData) else TrainingData(data)
-    return _train_members(td, seed, [index], bootstrap, max_depth, min_leaf,
+    return _train_members(data, seed, [index], bootstrap, max_depth, min_leaf,
                           features_per_split)[0]
 
 
 def train_bagging(matrix: FeatureMatrix, n_trees: int = 15, seed: int = 0,
                   bootstrap: bool = True, max_depth: int = 6,
                   min_leaf: int = 1) -> EnsembleModel:
-    return EnsembleModel(VOTE, _train_members(TrainingData(matrix), seed, list(range(n_trees)),
+    return EnsembleModel(VOTE, _train_members(matrix, seed, list(range(n_trees)),
                                               bootstrap, max_depth, min_leaf, None))
 
 
@@ -99,7 +100,7 @@ def train_forest(matrix: FeatureMatrix, n_trees: int = 25, seed: int = 0,
         features_per_split = max(1, int(round(math.sqrt(len(matrix.feature_names)))))
     elif features_per_split < 1:
         raise ValueError("features_per_split must be positive")
-    return EnsembleModel(VOTE, _train_members(TrainingData(matrix), seed, list(range(n_trees)),
+    return EnsembleModel(VOTE, _train_members(matrix, seed, list(range(n_trees)),
                                               bootstrap, max_depth, min_leaf, features_per_split))
 
 

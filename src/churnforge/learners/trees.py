@@ -65,11 +65,12 @@ def grow(search: GiniSearch, max_depth: int, features_per_split: int | None,
     """One tree per member of `search`, grown in lockstep.
 
     Each member keeps its own depth-first stack. At every step each member
-    pops nodes until one can split (below max_depth, at least 2 * min_leaf
-    rows, not pure), draws its features from its own rng, and the search
-    scores all those nodes in one batch. Children are pushed right then
-    left, so every member visits its nodes, and draws, in the preorder of
-    a recursive grower."""
+    pops its nodes that can split (below max_depth, at least 2 * min_leaf
+    rows, not pure), and the search scores them all in one batch: a node's
+    split depends only on its rows and counts. A weighted search pops one
+    node, and a member that samples features pops one and draws its features
+    from its own rng. Children are pushed right then left, so each visits its
+    nodes, and draws, in the preorder of a recursive grower."""
     td = search.td
     sample = features_per_split is not None and features_per_split < len(td.features)
     every = np.arange(len(td.features))
@@ -88,7 +89,8 @@ def grow(search: GiniSearch, max_depth: int, features_per_split: int | None,
                 features.append(np.sort(rngs[member].choice(
                     len(td.features), size=features_per_split, replace=False)) if sample else every)
                 batch.append((tree, node, depth))
-                break
+                if sample or search.weights is not None:  # preorder draws; _weighted's one node
+                    break
         if not batch:
             return roots
         for (tree, node, depth), found in zip(batch, search.split([b[1] for b in batch], features)):
@@ -109,8 +111,7 @@ def fit_trees(td: TrainingData, rngs: list, max_depth: int, min_leaf: int,
         raise ValueError("max_depth and min_leaf must be positive")
     if td.n == 0:
         raise ValueError("cannot train on an empty matrix")
-    if counts is None:
-        counts = np.ones((len(rngs), td.n), dtype=np.int64)
+    counts = np.tile(td.multiplicity, (len(rngs), 1)) if counts is None else counts
     search = GiniSearch(td, counts=counts, weights=weights, min_leaf=min_leaf)
     return [TreeModel(root, list(td.feature_names))
             for root in grow(search, max_depth, features_per_split, rngs)]
@@ -125,7 +126,7 @@ def fit_tree(td: TrainingData, max_depth: int, min_leaf: int,
 def train_cart(matrix: FeatureMatrix, max_depth: int = 6, min_leaf: int = 1) -> TreeModel:
     """Gini-greedy binary tree. A single-class matrix yields a constant
     classifier (one leaf), not an error."""
-    return fit_tree(TrainingData(matrix), max_depth, min_leaf)
+    return fit_tree(TrainingData(matrix).merged(), max_depth, min_leaf)
 
 
 def train_stump(matrix: FeatureMatrix) -> TreeModel:

@@ -100,6 +100,17 @@ class PipelineConfig:
     months_start: str = "2011-01"
     months_end: str = "2011-12"
 
+    def __post_init__(self):
+        for _, check in self.checks():
+            check()
+
+    def checks(self) -> list:
+        """(config key, check) of each field's owner check."""
+        return [("", lambda: self.generator_config().validate()), ("task", lambda: self.task),
+                ("learners", self.learner_specs), ("k_folds", lambda: check_folds(self.k_folds)),
+                ("top_n", lambda: _positive("top_n", self.top_n)),
+                ("final_learner", lambda: self.final_learner and self.spec_for(self.final_learner))]
+
     @property
     def task(self) -> TaskSpec:
         if self.task_id not in TASKS:
@@ -207,11 +218,7 @@ def build_config(file_values: dict[str, str], **overrides) -> PipelineConfig:
     for key, value in overrides.items():
         if value is not None:
             setattr(cfg, key, value)
-    checks = [("", cfg.generator_config().validate), ("task", lambda: cfg.task),
-              ("learners", cfg.learner_specs), ("k_folds", lambda: check_folds(cfg.k_folds)),
-              ("top_n", lambda: _positive("top_n", cfg.top_n)),
-              ("final_learner", lambda: cfg.final_learner and cfg.spec_for(cfg.final_learner))]
-    for key, check in checks:  # each field's owner check
+    for key, check in cfg.checks():
         try:
             check()
         except ValueError as exc:  # the generator's messages start with the field's name

@@ -9,7 +9,7 @@ from conftest import make_matrix
 
 from churnforge import load_model, read_matrix, save_model, train_cart, write_matrix
 from churnforge.cli import main
-from churnforge.tasks import rank_predictions
+from churnforge.tasks import PipelineConfig, rank_predictions
 
 CONFIG_TEMPLATE = """\
 # pipeline settings
@@ -265,6 +265,24 @@ def test_a_bad_flag_is_checked_at_load(workdir, tmp_path, capsys):
     assert _run(workdir, "extract", "--top-n", "-5", "--out", str(out)) == 1
     assert capsys.readouterr().err == "error: top_n must be at least 1, got -5\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("top_n", -5, "top_n must be at least 1, got -5"),
+    ("k_folds", 1, "k must be at least 2, got 1"),
+    ("task_id", 9, "task must be 1..7, got 9"),
+    ("churn_rate", 1.5, "churn_rate must be in (0, 1), got 1.5"),
+    ("learners", ["stump", "tree"], "unknown learner 'tree'"),
+    ("final_learner", "cart", "learner 'cart' is not in the configured list"),
+])
+def test_a_config_built_in_code_is_checked_at_construction(field, value, message):
+    """A PipelineConfig built without build_config runs the same checks, so
+    a negative top_n cannot reach predict, which would slice off the last
+    five rows of its ranking and exit 0."""
+    overrides = {"learners": ["stump"]} if field == "final_learner" else {}
+    with pytest.raises(ValueError) as caught:
+        PipelineConfig(**overrides, **{field: value})
+    assert str(caught.value).startswith(message)
 
 
 def test_compare_records_a_learner_its_trainer_rejects_as_failed(workdir, tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from conftest import make_matrix
 
 from churnforge import train_bagging, train_forest
+from churnforge.learners.conditions import TrainingData
 from churnforge.learners.ensembles import _train_member
 from churnforge.model_io import model_to_dict
 from churnforge.rebalance import oversample
@@ -29,7 +30,9 @@ def _digest(model) -> str:
 
 def _random_matrix(rng):
     """Numeric columns with few distinct values and NaN, sometimes a copy of
-    another, plus a categorical column with None and NaN."""
+    another, plus a categorical column with None and NaN; sometimes
+    oversampled, so that members fit repeated rows as distinct rows with
+    multiplicities and map their bootstraps through the row index."""
     n = int(rng.integers(5, 160))
     cols, kinds = {}, {}
     for j in range(int(rng.integers(1, 6))):
@@ -43,13 +46,18 @@ def _random_matrix(rng):
         cats = np.array(["A", "B", "C", None, float("nan")], dtype=object)
         name = str(rng.choice(["a_loc", "x2_loc", "z_loc"]))
         cols[name], kinds[name] = list(cats[rng.integers(0, 5, n)]), "categorical"
-    return make_matrix(cols, labels=rng.integers(0, 2, n).tolist(), kinds=kinds)
+    labels = (rng.random(n) < rng.choice([0.15, 0.5])).astype(int)
+    labels[:2] = [0, 1]
+    m = make_matrix(cols, labels=labels.tolist(), kinds=kinds)
+    return oversample(m, int(rng.integers(0, 100))) if rng.random() < 0.4 else m
 
 
 def test_lockstep_members_equal_solo_fits():
     rng = np.random.default_rng(505)
+    repeats = 0
     for trial in range(50):
         m = _random_matrix(rng)
+        repeats += TrainingData(m).merged().n < m.n_rows
         n_features = len(m.feature_names)
         n_trees = int(rng.integers(1, 7))
         seed = int(rng.integers(0, 1000))
@@ -64,6 +72,7 @@ def test_lockstep_members_equal_solo_fits():
         for i, member in enumerate(model.members):
             alone = _train_member(m, seed, i, bootstrap, max_depth, min_leaf, fps)
             assert model_to_dict(member) == model_to_dict(alone), (trial, i)
+    assert repeats >= 10
 
 
 def _large_matrix(n=5000):

@@ -1,8 +1,9 @@
 """Model files: the .adt text layout and the .cfm JSON container.
 
-Both carry the "churnforge-model v1" header. Alternating trees serialize
-as the indentation layout with 3-decimal prediction values; other families
-use JSON with exact floats, so reloaded models predict identically.
+print_adtree writes an alternating tree as the indentation layout with
+3-decimal prediction values. save_model writes every family, alternating
+trees included, as JSON with exact floats under the "churnforge-model v1"
+header, so reloaded models predict identically.
 """
 
 import tempfile
@@ -24,9 +25,11 @@ reparsed = parse_adtree(text)
 print(f"parse(print(model)) canonical: {print_adtree(reparsed) == text}\n")
 
 with tempfile.TemporaryDirectory() as tmp:
-    adt_path = f"{tmp}/churn.adt"
+    adt_path = f"{tmp}/churn_adtree.cfm"
     save_model(adt, adt_path)
-    print(f"{adt_path} starts with: {open(adt_path).readline().strip()!r}")
+    with open(adt_path, encoding="utf-8") as f:
+        print(f"{adt_path} starts with: {f.readline().strip()!r}")
+    print(f"ADTree reload is the trained model: {load_model(adt_path) == adt}")
 
     forest = train_forest(balanced, n_trees=8, seed=2)
     cfm_path = f"{tmp}/churn.cfm"

@@ -4,7 +4,13 @@ best-model selection, and single-split information-gain feature ranking."""
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import threading
+import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 
 import numpy as np
 
@@ -125,26 +131,120 @@ class EvalReport:
         return rows
 
 
+def _cell(matrix: FeatureMatrix, spec: LearnerSpec,
+          fold: tuple[np.ndarray, np.ndarray]) -> ConfusionMatrix | str:
+    """Train on one fold's train rows and score its test rows. A failure is
+    returned as its message, so no cell can stop another."""
+    train_idx, test_idx = fold
+    try:
+        model = train(matrix.subset(train_idx), spec)
+        _, predicted = predict_matrix(model, matrix.subset(test_idx))
+    except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+        return str(exc)
+    return confusion(matrix.labels[test_idx], predicted)
+
+
+# Cross-validation forks workers once the cells still to run, at the mean
+# time of those run so far, would take this long in one process. Below it,
+# forking and the copy-on-write faults that follow cost about what a second
+# CPU saves (see README.md, "Library quickstart").
+_FORK_AFTER_S = 0.1
+
+
+def _run_cells(n: int, cell: Callable[[int], object]) -> list:
+    """``[cell(i) for i in range(n)]``, spread over every CPU in this
+    process's affinity mask once the cells left are expected to take
+    ``_FORK_AFTER_S``; the list never depends on scheduling. ``cell`` must
+    not return None. Every cell runs here where the OS reports no affinity
+    mask (not Linux), in a daemonic process (a ``multiprocessing.Pool``
+    worker may not have children), and while another Python thread runs,
+    since it could hold a lock across the fork."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else 1
+    if cpus == 1 or multiprocessing.current_process().daemon or threading.active_count() > 1:
+        return [cell(i) for i in range(n)]
+    results = []
+    start = time.perf_counter()
+    for i in range(n):
+        if i and (time.perf_counter() - start) / i * (n - i) >= _FORK_AFTER_S:
+            return results + _fork_cells(range(i, n), cell, min(cpus, n - i))
+        results.append(cell(i))
+    return results
+
+
+def _fork_cells(jobs: range, cell: Callable[[int], object], workers: int) -> list:
+    """``[cell(i) for i in jobs]`` in this process and ``workers - 1`` forked
+    children. Worker w runs jobs w, w + workers, ..., so with cells laid out
+    learner-major each learner's folds are shared evenly, and each outcome
+    is placed by its job's position. A child that exits early fails the
+    call with one RuntimeError; no child outlives the call."""
+    # fork, not spawn: children share the parent's matrix and folds without
+    # pickling them, and ``cell`` may be a closure
+    ctx = multiprocessing.get_context("fork")
+
+    def child(w: int, conn) -> None:
+        for j in range(w, len(jobs), workers):
+            conn.send((j, cell(jobs[j])))
+        conn.close()
+
+    results: list = [None] * len(jobs)
+    children, readers = [], []
+    try:
+        for w in range(1, workers):
+            reader, writer = ctx.Pipe(duplex=False)
+            readers.append(reader)
+            with writer:  # closed here, a child's exit is seen as EOF on its pipe
+                proc = ctx.Process(target=child, args=(w, writer), daemon=True)
+                proc.start()
+            children.append(proc)
+        for j in range(0, len(jobs), workers):
+            results[j] = cell(jobs[j])
+        while readers:
+            for reader in wait(readers):
+                try:
+                    j, outcome = reader.recv()
+                except EOFError:
+                    readers.remove(reader)
+                    reader.close()
+                else:
+                    results[j] = outcome
+    except BaseException:
+        for proc in children:
+            proc.terminate()
+        raise
+    finally:
+        for conn in readers:
+            conn.close()
+        for proc in children:
+            proc.join()
+    if any(r is None for r in results):
+        codes = ", ".join(str(proc.exitcode) for proc in children)
+        raise RuntimeError("a cross-validation worker exited before returning its cells "
+                           f"(worker exit codes: {codes})")
+    return results
+
+
 def compare_learners(matrix: FeatureMatrix, specs: list[LearnerSpec], k: int,
                      seed: int) -> EvalReport:
     """Train/test every learner over the same stratified folds. A learner
-    that fails keeps its error message; other cells are unaffected."""
+    that fails keeps the message of its first failing fold; other cells are
+    unaffected. Once the (learner, fold) cells are expected to take long
+    enough, they run on every CPU in the process's affinity mask; the report
+    does not depend on how many there are."""
     names = [s.display_name for s in specs]
     if len(set(names)) != len(names):
         raise ValueError("learner display names must be unique")
     report = EvalReport(list(names))
     folds = stratified_kfold(matrix.labels, k, seed)
-    for spec in specs:
-        name = spec.display_name
-        try:
-            cells = []
-            for train_idx, test_idx in folds:
-                model = train(matrix.subset(train_idx), spec)
-                _, predicted = predict_matrix(model, matrix.subset(test_idx))
-                cells.append(confusion(matrix.labels[test_idx], predicted))
+    jobs = [(spec, fold) for spec in specs for fold in folds]
+    outcomes = _run_cells(len(jobs), lambda i: _cell(matrix, *jobs[i]))
+    for j, name in enumerate(names):
+        cells = outcomes[j * len(folds):(j + 1) * len(folds)]
+        failed = [c for c in cells if isinstance(c, str)]
+        if failed:
+            report.failures[name] = failed[0]
+        else:
             report.folds[name] = cells
-        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-            report.failures[name] = str(exc)
     return report
 
 

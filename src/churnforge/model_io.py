@@ -1,16 +1,19 @@
 """Model persistence.
 
-Two text formats, both UTF-8 with LF line endings and a version header:
+Every model file is UTF-8 with LF line endings, starts with the header
+line ``churnforge-model v1`` and names its body's format on line two:
 
-* ``.adt`` - the indentation-based alternating-tree layout. Root line
+* ``format: json`` - what ``save_model`` writes for every family (trees,
+  Bayes, ensembles, which may nest any member type, and alternating trees).
+  Floats round-trip exactly, so a reloaded model scores bit-identically.
+* ``format: adtree-text`` - the ``.adt`` indentation layout of an
+  alternating tree, which ``load_model`` still reads. Root line
   ``: <value>``; each splitter contributes two lines
   ``(<i>)<feature> <op> <operand>: <value>`` (condition true, then false;
   ops ``<``/``>=`` or ``=``/``!=``), and a prediction node's child
   splitters sit two spaces deeper than its line. Prediction values carry
   exactly three decimals, so parse(print(m)) == m for models whose values
   are 3-decimal quantities.
-* ``.cfm`` - a JSON payload for every other model family (trees, Bayes,
-  ensembles, which may nest any member type). Floats round-trip exactly.
 """
 
 from __future__ import annotations
@@ -144,7 +147,7 @@ def parse_adtree(text: str, where: str = "<string>") -> ADTreeModel:
 
 
 # ---------------------------------------------------------------------------
-# JSON container for the other families
+# JSON container
 # ---------------------------------------------------------------------------
 
 def _cond_to_dict(cond: SplitCondition | None):
@@ -244,15 +247,8 @@ def model_from_dict(d) -> object:
 # ---------------------------------------------------------------------------
 
 def save_model(model, path: str) -> None:
-    """Write any supported model under the versioned header.
-
-    ADTree models use the human-readable ``.adt`` layout (prediction values
-    rounded to the documented 3 decimals); everything else is JSON.
-    """
-    if isinstance(model, ADTreeModel):
-        body = "format: adtree-text\n" + print_adtree(model)
-    else:
-        body = "format: json\n" + json.dumps(model_to_dict(model)) + "\n"
+    """Write any supported model as JSON under the versioned header."""
+    body = "format: json\n" + json.dumps(model_to_dict(model)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(HEADER + "\n" + body)
 

@@ -278,10 +278,6 @@ def cmd_compare(cfg: PipelineConfig) -> str:
     return f"task {cfg.task_id} best learner: {best}"
 
 
-def _final_model_path(cfg: PipelineConfig, algorithm: str) -> str:
-    return cfg.path("model.adt" if algorithm == "adtree" else "model.cfm")
-
-
 def _read_best(cfg: PipelineConfig) -> str:
     path = cfg.path("best.txt")
     if cfg.final_learner:
@@ -297,21 +293,17 @@ def cmd_train_final(cfg: PipelineConfig) -> str:
     balanced = oversample(matrix, cfg.seed + 2)
     name = _read_best(cfg)
     model = train(balanced, cfg.spec_for(name))
-    path = _final_model_path(cfg, name)
+    path = cfg.path("model.cfm")
     save_model(model, path)
-    stale = cfg.path("model.cfm" if path.endswith(".adt") else "model.adt")
-    if os.path.exists(stale):  # predict loads whichever model file it finds
-        os.remove(stale)
     return f"task {cfg.task_id} retrained {name} on {balanced.n_rows} rows -> {path}"
 
 
 def _load_final_model(cfg: PipelineConfig):
-    for suffix in ("model.adt", "model.cfm"):
-        path = cfg.path(suffix)
-        if os.path.exists(path):
-            return load_model(path)
-    raise ValueError(f"no model file for task {cfg.task_id} under {cfg.out_dir}; "
-                     "run train-final first")
+    path = cfg.path("model.cfm")
+    if not os.path.exists(path):
+        raise ValueError(f"no model file for task {cfg.task_id} under {cfg.out_dir}; "
+                         "run train-final first")
+    return load_model(path)
 
 
 def rank_predictions(billing_ids: list[str], scores, direction: str,

@@ -1,5 +1,8 @@
+import csv
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +10,14 @@ import pytest
 
 from conftest import make_matrix
 
-from churnforge import load_model, read_matrix, save_model, train_cart, write_matrix
+import churnforge
+from churnforge import (load_model, oversample, predict_matrix, read_matrix, save_model, train,
+                        train_cart, write_matrix)
 from churnforge.cli import main
-from churnforge.tasks import PipelineConfig, rank_predictions
+from churnforge.learners import ALGORITHMS
+from churnforge.tasks import PipelineConfig, build_config, parse_config_file, rank_predictions
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(churnforge.__file__)))
 
 CONFIG_TEMPLATE = """\
 # pipeline settings
@@ -117,6 +125,56 @@ def test_train_final_with_another_learner_replaces_the_model(workdir, tmp_path):
     forest = load_model(str(Path(out, "task1_model.cfm")))
     assert float(top.split(",")[1]) == forest.score_matrix(
         read_matrix(str(Path(out, "task1_test.csv")))).max()
+
+
+@pytest.mark.parametrize("learner", ALGORITHMS)
+def test_predict_scores_the_trained_model_bit_for_bit(workdir, tmp_path, learner):
+    """The model file holds the trained model exactly: every score predict
+    writes equals the in-memory model's score. An ADTree saved in the .adt
+    layout lost its values past three decimals."""
+    out = str(tmp_path / "out")
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(Path(workdir["config"]).read_text(encoding="utf-8").replace(
+        "learners = stump,cart,bayes", f"learners = {learner}")
+        + f"final_learner = {learner}\n", encoding="utf-8")
+    for step in ("extract", "train-final", "predict"):
+        assert main([step, "--task", "1", "--config", str(cfg), "--out", out,
+                     "--top-n", "100000"]) == 0
+    config = build_config(parse_config_file(str(cfg)), task_id=1, out_dir=out)
+    model = train(oversample(read_matrix(config.path("train.csv")), config.seed + 2),
+                  config.spec_for(learner))
+    test = read_matrix(config.path("test.csv"))
+    scores, _ = predict_matrix(model, test)
+    with open(config.path("predictions.csv"), encoding="utf-8", newline="") as f:
+        written = {row["billing_id"]: float(row["score"]) for row in csv.DictReader(f)}
+    assert written == dict(zip(test.billing_ids, scores.tolist()))
+
+
+def test_compare_in_a_subprocess_prints_its_line_once(workdir, tmp_path):
+    """Forked cross-validation workers write nothing to stdout: neither the
+    result line nor a line still buffered in the pipe when they fork.
+    Workers are forked however quick the cells are."""
+    out = str(tmp_path / "out")
+    assert _run(workdir, "extract", "--task", "1", "--out", out) == 0
+    script = ("import os, sys\n"
+              "forks = []\n"
+              "os.register_at_fork(after_in_parent=lambda: forks.append(1))\n"
+              "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+              "from churnforge import evaluation\n"
+              "evaluation._FORK_AFTER_S = 0.0\n"
+              "from churnforge.cli import main\n"
+              "print('before compare')\n"
+              "sys.exit(main(sys.argv[1:]) or (None if forks else 'no worker was forked'))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", script, "compare", "--task", "1",
+                           "--config", workdir["config"], "--out", out],
+                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    best = Path(out, "task1_best.txt").read_text(encoding="utf-8").strip()
+    assert done.stdout == f"before compare\ntask 1 best learner: {best}\n"
+    assert done.stderr == ""
 
 
 def test_loyal_ranking_is_exact_reverse_for_unique_scores():

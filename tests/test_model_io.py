@@ -119,16 +119,24 @@ def test_save_load_every_family(tmp_path):
         np.testing.assert_array_equal(loaded.score_matrix(m), model.score_matrix(m))
 
     adt = train_adtree(m, n_boost_rounds=6)
-    path = str(tmp_path / "model.adt")
+    path = str(tmp_path / "adtree.cfm")
     save_model(adt, path)
     loaded = load_model(path)
-    # .adt stores prediction values at 3 decimals: scores agree to the
-    # printed precision times the number of contributing nodes
-    budget = (adt.splitter_count() + 1) * 5e-4 + 1e-9
+    assert loaded == adt
+    np.testing.assert_array_equal(loaded.score_matrix(m), adt.score_matrix(m))
     for _ in range(50):
         row = {k: v for k, v in zip(m.feature_names,
                                     (float(rng.normal()), float(rng.normal()), "AJP"))}
-        assert abs(loaded.score_row(row) - adt.score_row(row)) <= budget
+        assert loaded.score_row(row) == adt.score_row(row)
+
+
+def test_adtree_text_files_still_load(tmp_path):
+    """Files that earlier versions wrote in the ``.adt`` layout load as
+    the model that layout prints."""
+    model = random_adtree(np.random.default_rng(9), n_splitters=12)
+    path = tmp_path / "model.adt"
+    path.write_text(f"{HEADER}\nformat: adtree-text\n{print_adtree(model)}", encoding="utf-8")
+    assert load_model(str(path)) == model
 
 
 def test_header_present_in_every_file(tmp_path):

@@ -109,8 +109,7 @@ def test_predict_names_columns_the_test_matrix_lacks(tmp_path, capsys, learner):
     for step in ("generate", "extract", "train-final", "predict"):
         assert cli.main([step, "--config", str(config), "--task", "1"]) == 0
     out = tmp_path / "out"
-    model_file = "task1_model.adt" if learner == "adtree" else "task1_model.cfm"
-    dropped = _first_feature(load_model(str(out / model_file)), learner)
+    dropped = _first_feature(load_model(str(out / "task1_model.cfm")), learner)
     with open(out / "task1_test.csv", encoding="utf-8", newline="") as f:
         rows = list(csv.reader(f))
     keep = [j for j, name in enumerate(rows[0]) if name != dropped]

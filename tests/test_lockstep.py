@@ -1,6 +1,5 @@
 """Ensemble members grown in lockstep equal members grown alone, and large
-fits, where lines are sorted locally and scored in several chunks, keep
-their pinned digests."""
+fits, whose lines span several chunks, keep their pinned digests."""
 
 import hashlib
 import json
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import make_matrix
 
-from churnforge import train_bagging, train_forest
+from churnforge import train_adaboost, train_adtree, train_bagging, train_forest
 from churnforge.learners.conditions import TrainingData
 from churnforge.learners.ensembles import _train_member
 from churnforge.model_io import model_to_dict
@@ -18,6 +17,9 @@ from churnforge.rebalance import oversample
 # as in test_split_search: the digests hold on the numpy they were taken with
 GOLDEN_NUMPY = "2.4"
 LARGE_DIGESTS = {
+    "adaboost": "1ea3fda73c9428c03a0786e109a65f0b9c5e6dca21aa9e83573f409301184bfe",
+    "adaboost_cart": "705325362f6b2817beb4120693005b6583354b5cf1ce4d173c5c222c262dfc81",
+    "adtree": "48838739aad935ad6e7ad2d4377aba4d1aca8b82b24a39306670c678e5856356",
     "bagging": "ae03826c267dc0b9cbcad846a9e1584e61eae05942281cad610f3f6ddf518b75",
     "forest": "16733dbc238b4401c9a61b0ffd895c5f3e0f030ebf070dbb94b7ae8ed18b06fb",
 }
@@ -108,4 +110,10 @@ def test_large_fit_golden_digests():
     assert m.n_rows == 8840
     forest = train_forest(m, n_trees=25, seed=6, max_depth=8)
     bagging = train_bagging(m, n_trees=15, seed=2, max_depth=6, min_leaf=2)
-    assert {"bagging": _digest(bagging), "forest": _digest(forest)} == LARGE_DIGESTS
+    adtree = train_adtree(m, n_boost_rounds=10)
+    adaboost = train_adaboost(m, n_boost_rounds=20, base_algorithm="stump")
+    adaboost_cart = train_adaboost(m, n_boost_rounds=4, base_algorithm="cart", max_depth=6,
+                                   min_leaf=2)
+    assert {"adaboost": _digest(adaboost), "adaboost_cart": _digest(adaboost_cart),
+            "adtree": _digest(adtree), "bagging": _digest(bagging),
+            "forest": _digest(forest)} == LARGE_DIGESTS

@@ -16,7 +16,7 @@ import numpy as np
 
 from .features import FeatureMatrix
 from .learners import LearnerSpec, TrainingData, predict_matrix, train
-from .learners.conditions import Batch, GiniSearch
+from .learners.conditions import Batch, GiniSearch, line_chunks
 
 
 @dataclass
@@ -300,8 +300,8 @@ def _split_information_gains(td: TrainingData) -> dict[str, float]:
     search = GiniSearch(td)
     root = search.root(0)
     gains = np.zeros(len(td.features))
-    for ch, _, nL, aL, nR, aR in search.candidates([root], Batch([root.rows]),
-                                                   [np.arange(len(td.features))]):
+    chunks = line_chunks(td, Batch([root.rows]), [np.arange(len(td.features))])
+    for ch, _, nL, aL, nR, aR in search.candidates([root], chunks):
         bL, bR = nL - aL, nR - aR
         h = (nL / n) * _entropy_vec(bL, aL) + (nR / n) * _entropy_vec(bR, aR)
         for k in np.flatnonzero(~ch.numeric[ch.line]).tolist():

@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..features import FeatureMatrix
-from .conditions import (CATEGORICAL_EQ, NUMERIC_LT, Batch, RowScoring, SplitCondition,
-                         TrainingData, line_chunks, masked_sums)
+from .conditions import (CATEGORICAL_EQ, NUMERIC_LT, KeptLines, Lines, RowScoring, RunSums,
+                         SplitCondition, TrainingData, paired)
 
 
 @dataclass
@@ -114,6 +114,11 @@ def train_adtree(matrix: FeatureMatrix, n_boost_rounds: int = 10) -> ADTreeModel
     With 0 rounds the model is the root prediction value alone (the class
     prior; exactly 0 on a balanced matrix). Training stops early if no
     candidate condition remains.
+
+    Each prediction node's lines are laid out once, in the round that
+    creates it, by filtering its precondition node's lines by the
+    condition's yes or no rows (the root's are the presort); every round
+    rescores the kept lines with the new weights.
     """
     if n_boost_rounds < 0:
         raise ValueError("n_boost_rounds must be >= 0")
@@ -132,9 +137,12 @@ def train_adtree(matrix: FeatureMatrix, n_boost_rounds: int = 10) -> ADTreeModel
     # rows reaching each prediction node; creation order = tie order
     nodes: list[PredictionNode] = [root]
     reach: list[np.ndarray] = [np.ones(td.n, dtype=bool)]
+    lines = KeptLines.root(td)
+    categories = _CategorySums(td)
+    inputs = [categories.inputs(ch) for ch in lines.chunks]
 
     for round_no in range(1, n_boost_rounds + 1):
-        best = _best_condition(td, reach, w)
+        best = _best_condition(td, inputs, categories, w)
         if best is None:
             break
         pos, cond = best
@@ -151,41 +159,92 @@ def train_adtree(matrix: FeatureMatrix, n_boost_rounds: int = 10) -> ADTreeModel
         nodes += [yes_node, no_node]
         reach += [yes, no]
         model.weight_totals.append(float(w.sum()))
+        if round_no < n_boost_rounds:  # the new nodes' lines, for the rounds left
+            changed = lines.add([lines.filter(pos, yes), lines.filter(pos, no)])
+            categories.add([np.flatnonzero(yes), np.flatnonzero(no)])
+            inputs[changed:] = [categories.inputs(ch) for ch in lines.chunks[changed:]]
 
     return model
 
 
-def _best_condition(td: TrainingData, reach: list[np.ndarray], w: np.ndarray):
+class _CategorySums:
+    """The weight sums of every prediction node's category candidates, as
+    one RunSums that each new node extends: for each node, for each
+    categorical feature, the weight of class 1 and of class 0 over its
+    present rows, then over each category's rows, each added in row order.
+    Every node's block of sums has one layout, so a candidate's sums are
+    found from its node, feature and category."""
+
+    def __init__(self, td: TrainingData):
+        self.td = td
+        vocab = np.array([len(v) for v in td.categories.values()], dtype=np.int64)
+        self.offset = np.zeros(len(td.features), dtype=np.int64)  # by feature, in a block
+        cat = ~td.is_numeric
+        self.offset[cat] = (2 + 2 * vocab).cumsum() - (2 + 2 * vocab)
+        self.block = int((2 + 2 * vocab).sum())
+        self.sums = RunSums(np.zeros(0, np.int64), np.zeros(0, np.int64), td.n)
+        self.add([np.arange(td.n)])
+
+    def add(self, nodes: list[np.ndarray]) -> None:
+        """Plan the sums of the next nodes, each given by its rows (ascending)."""
+        td, picked, lengths = self.td, [], []
+        for rows in nodes:
+            positive = td.y[rows] == 1
+            for j, vocab in enumerate(td.categories.values()):
+                x = td.values[len(td.numeric) + j].take(rows)
+                present = x == x
+                key = np.where(positive, 0, 1)[present] + 2 * x[present].astype(np.int64)
+                picked += [rows[present & positive], rows[present & ~positive],
+                           rows[present][np.argsort(key, kind="stable")]]
+                lengths += [[np.count_nonzero(present & positive)],
+                            [np.count_nonzero(present & ~positive)],
+                            np.bincount(key, minlength=2 * len(vocab))]
+        if picked:
+            self.sums.extend(np.concatenate(picked), np.concatenate(lengths))
+
+    def inputs(self, ch: Lines):
+        """What Z needs of a chunk of kept lines besides the weights: the
+        chunk, the last present cell of each line (where its running sums
+        hold the line's present total), the categorical candidates, and
+        where their sums over the line's present rows and over the
+        category's rows (class 1, then class 0) fall among the RunSums'.
+        None for a chunk without a candidate."""
+        if not len(ch.at):
+            return None
+        start = ch.ends - ch.m + 1  # missing cells come last in a line
+        end = start - 1 + np.add.reduceat(ch.present, start, dtype=np.int64)
+        cat = ch.categorical()
+        line = ch.line[cat]
+        t1 = ch.node[line] * self.block + self.offset[ch.feat[line]]
+        c1 = t1 + 2 + 2 * ch.operand(self.td, cat).astype(np.int64)
+        return ch, end, cat, np.stack([t1, t1 + 1, c1, c1 + 1])
+
+
+def _best_condition(td: TrainingData, inputs: list, categories: _CategorySums,
+                    w: np.ndarray):
     """(prediction node, condition) of lowest Z over every feature of every
-    prediction node (`reach` holds each one's row mask), scored in one
-    batch, or None when nothing splits. Rows missing the feature fall in
-    neither branch. Ties keep the earliest node, then the smaller feature,
-    then the smaller threshold or category: the first minimum in line order."""
-    batch = Batch([np.flatnonzero(mask) for mask in reach])
-    weights = np.stack([np.where(td.y == 1, w, 0.0), np.where(td.y == 1, 0.0, w)])
+    prediction node, scored over the kept lines' chunks (`inputs`, from
+    `categories.inputs`), or None when nothing splits. Rows missing the feature
+    fall in neither branch. Ties keep the earliest node, then the smaller
+    feature, then the smaller threshold or category: the first minimum in
+    line order."""
+    weights = paired(np.where(td.y == 1, w, 0.0), np.where(td.y == 1, 0.0, w))
     total_w = float(w.sum())
     best = (np.inf, None)
-    every = np.arange(len(td.features))
-    for ch in line_chunks(td, batch, [every] * len(reach)):
+    category_sums = categories.sums(w)
+    for ch, end, cat, at in filter(None, inputs):
         sums = ch.running_sums(weights)
-        (c1, c0), (t1, t0) = sums[:, ch.at], sums[:, ch.ends[ch.line]]
-        cat = np.flatnonzero(~ch.numeric[ch.line])
-        if len(cat):  # sums over the category's rows and the line's present rows
-            lines, line = np.unique(ch.line[cat], return_inverse=True)
-            rows, x, m = batch.line_values(td, ch.node[lines], ch.feat[lines])
-            positive = td.y[rows] == 1
-            t1[cat], t0[cat] = masked_sums(w, rows, m, (x == x) & positive,
-                                           (x == x) & ~positive)[:, line]
-            rows, m = ch.run_rows(cat)  # a category's rows, ascending
-            positive = td.y[rows] == 1
-            c1[cat], c0[cat] = masked_sums(w, rows, m, positive, ~positive)
+        c, t = sums.take(ch.at), sums.take(end).take(ch.line)
+        (c1, c0), (t1, t0) = (c.real, c.imag), (t.real, t.imag)
+        if len(cat):  # sums over the line's present rows and the category's rows
+            t1[cat], t0[cat], c1[cat], c0[cat] = category_sums.take(at)
         z = 2.0 * (np.sqrt(c1 * c0) + np.sqrt((t1 - c1) * (t0 - c0))) + (total_w - (t1 + t0))
         if len(cat):  # a category's sums a rounding apart give NaN, never picked
             z[cat] = np.where(np.isnan(z[cat]), np.inf, z[cat])
         k = int(z.argmin())
         if z[k] < best[0]:
             best = (z[k], (int(ch.node[ch.line[k]]), int(ch.feat[ch.line[k]]),
-                           float(ch.operand(k))))
+                           float(ch.operand(td, k))))
     if best[1] is None:
         return None
     pos, f, operand = best[1]

@@ -14,12 +14,21 @@ is that fit-wide order filtered stably by the node's rows. `line_chunks`
 lays out the lines of a batch of nodes by sorting their cells by (line,
 presort position), at a cost that follows the node sizes, in chunks of
 about _BLOCK_CELLS cells so that the temporaries stay a few megabytes, and
-marks their candidate cuts. Every search scores these, as SLIQ scores all
-open leaves in one pass over each attribute list: the Gini search all open
-nodes of a fit, one per member if it samples features (`GiniSearch.split`),
-AdaBoost's weighted Gini search its one node, ADTree's Z search every
-prediction node of a round, and the feature ranking the root. Each takes
-the first best candidate in (node, feature, cut) order, the tie rule's pick.
+marks their candidate cuts. The unweighted Gini search scores these for
+all open nodes of a fit, as SLIQ scores all open leaves in one pass over
+each attribute list, one node per member if it samples features
+(`GiniSearch.split`), and the feature ranking for the root.
+
+Boosting rescores the same nodes round after round with new weights, so
+its searches keep their lines (`KeptLines`), as SPRINT (Shafer, Agrawal
+and Mehta 1996) keeps its attribute lists. A node's lines are laid out
+once, by filtering its parent's lines stably by the node's rows (the
+root's are the presort), in the same chunks and with the same candidates
+as `line_chunks` gives; no line is sorted again. ADTree's Z search
+rescores the kept lines of every prediction node each round, and
+AdaBoost's weighted Gini search those of its one node, the root's in
+every round. Each search takes the first best candidate in (node, feature,
+cut) order, the tie rule's pick.
 
 A row's count is its multiplicity: stump, CART, bagging and forest fit
 the distinct rows (`TrainingData.merged`), and a bootstrap adds its draws
@@ -108,6 +117,8 @@ class TrainingData:
     (missing values last), `position` each cell's index into the flattened
     `order`, `index` each matrix row's row here and `multiplicity` how many
     matrix rows each row stands for: the identity and ones, unless `merged`.
+    A categorical value must be a string (or missing), since a split
+    condition holds its category as a string.
     """
 
     def __init__(self, matrix: FeatureMatrix):
@@ -125,7 +136,11 @@ class TrainingData:
             if name in self.column:
                 continue
             values = matrix.columns[name]
-            vocab = sorted({v for v in values if not is_missing(v)})
+            vocab = {v for v in values if not is_missing(v)}
+            if not all(isinstance(v, str) for v in vocab):  # a condition holds str(category)
+                bad = next(v for v in values if not (is_missing(v) or isinstance(v, str)))
+                raise ValueError(f"categorical feature {name!r} holds the non-string value {bad!r}")
+            vocab = sorted(vocab)
             lookup = {v: i for i, v in enumerate(vocab)}
             self.categories[name] = vocab
             code_rows.append([-1 if is_missing(v) else lookup[v] for v in values])
@@ -192,13 +207,15 @@ class Node(NamedTuple):
     """An open node of one member's tree: its rows (ascending, all with a
     positive count), their number and its class-1 rows counted with
     multiplicity, its class-1 fraction (of weight, when weighted), and
-    whether it holds one class."""
+    whether it holds one class. A weighted search's node carries kept
+    lines that hold its rows: its own, or an ancestor's to filter."""
     member: int
     rows: np.ndarray
     n: int
     p1: float
     pure: bool
     a: int
+    lines: KeptLines | None = None
 
 
 class Batch:
@@ -229,34 +246,36 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if len(ends) else 0) + (starts - ends + lengths).repeat(lengths)
 
 
-def _chunks(cells: np.ndarray):
-    """(lo, hi) bounds of runs of consecutive lines: the lines whose first
-    cell falls in one _BLOCK_CELLS-wide block of the concatenated cells, so
-    a run holds fewer than _BLOCK_CELLS cells plus one line."""
-    ends = cells.cumsum()
-    if not len(cells) or ends[-1] <= _BLOCK_CELLS:
-        return [(0, len(cells))] if len(cells) else []
-    block = (ends - cells) // _BLOCK_CELLS
-    bounds = [0] + (np.flatnonzero(block[1:] != block[:-1]) + 1).tolist() + [len(cells)]
-    return list(zip(bounds[:-1], bounds[1:]))
+def _blocks(first: np.ndarray) -> list[int]:
+    """Bounds of the runs of consecutive lines whose first cells (`first`)
+    fall in one _BLOCK_CELLS-wide block, so a run holds fewer than
+    _BLOCK_CELLS cells plus one line."""
+    block = first // _BLOCK_CELLS
+    return [0] + (np.flatnonzero(block[1:] != block[:-1]) + 1).tolist() + [len(first)]
 
 
 def _sorted_lines(td: TrainingData, batch: Batch, node: np.ndarray, row: np.ndarray,
-                  m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                  m: np.ndarray) -> np.ndarray:
     """Each line's node rows in the sorted order of its feature (`row` of
-    td.values; m = the lines' lengths), concatenated, and their cells in
-    the flattened td.values. The cells are sorted by (line, presort index),
-    which keeps the presort's stable order within a line."""
-    base = (row * td.n).repeat(m)
+    td.values; m = the lines' lengths), concatenated. The cells are sorted
+    by (line, presort index), which keeps the presort's stable order within
+    a line."""
     if (m == td.n).all():  # nodes holding every row: their lines are the presort
-        rows = td.order.take(row, axis=0).ravel()
-        return rows, rows + base
+        return td.order.take(row, axis=0).ravel()
     shift = int(td.order.size).bit_length()
-    key = td.position.take(batch.line_rows(node, m) + base)
+    key = td.position.take(batch.line_rows(node, m) + (row * td.n).repeat(m))
     key |= (np.arange(len(row)) << shift).repeat(m)
     key.sort()
-    rows = td.order.take(key & ((1 << shift) - 1))
-    return rows, rows + base
+    return td.order.take(key & ((1 << shift) - 1))
+
+
+def paired(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Two real amounts as the parts of one complex amount. Complex numbers
+    add part by part, so one pass of running sums over the pair gives each
+    amount's own running sums, bit for bit, at about the cost of one."""
+    pair = np.empty(len(first), dtype=np.complex128)
+    pair.real, pair.imag = first, second
+    return pair
 
 
 class Lines(NamedTuple):
@@ -270,7 +289,6 @@ class Lines(NamedTuple):
     m: np.ndarray        # each line's length
     ends: np.ndarray     # each line's last cell
     rows: np.ndarray     # each cell's row
-    values: np.ndarray   # each cell's value (categories as codes)
     present: np.ndarray  # each cell's value is not NaN
     at: np.ndarray       # each candidate's cell
     line: np.ndarray     # each candidate's line
@@ -278,111 +296,232 @@ class Lines(NamedTuple):
                          # first, or for a category after the first, the
                          # cell after the previous candidate
 
-    def running_sums(self, amounts: np.ndarray) -> np.ndarray:
-        """Each line's running sums of `amounts` (one row each, over all
-        training rows) over its present cells, added in cell order.
-        Consecutive lines of one length (a node's lines share its length)
-        are cumulated as the rows of one array."""
-        x = amounts.take(self.rows, axis=1) * self.present
+    def running_sums(self, amount: np.ndarray) -> np.ndarray:
+        """Each line's running sums of `amount` (over all training rows),
+        added in cell order. A line's missing cells come last, so its sums
+        up to a present cell add present cells only. Consecutive lines of
+        one length (a node's lines share its length) are cumulated as the
+        rows of one array."""
+        x = amount.take(self.rows)
         out = np.empty_like(x)
-        bounds = [0] + (np.flatnonzero(self.m[1:] != self.m[:-1]) + 1).tolist() + [len(self.m)]
-        cells = [0] + (self.ends + 1).tolist()
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            a, b = cells[lo], cells[hi]
-            shape = (len(x), hi - lo, -1)
-            np.cumsum(x[:, a:b].reshape(shape), axis=-1, out=out[:, a:b].reshape(shape))
+        later = np.flatnonzero(self.m[1:] != self.m[:-1]) + 1  # each later run's first line
+        lines = [0, *later.tolist(), len(self.m)]
+        cells = [0, *(self.ends[later - 1] + 1).tolist(), len(self.rows)]
+        for lo, hi, a, b in zip(lines[:-1], lines[1:], cells[:-1], cells[1:]):
+            np.cumsum(x[a:b].reshape(hi - lo, -1), axis=-1, out=out[a:b].reshape(hi - lo, -1))
         return out
 
-    def run_rows(self, k) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, m): the rows of candidates k's runs, concatenated, and
-        the runs' lengths."""
-        m = self.at[k] - self.first[k] + 1
-        return self.rows[_ranges(self.first[k], m)], m
+    def categorical(self) -> np.ndarray:
+        """The candidates on categorical lines, ascending."""
+        lines = np.flatnonzero(~self.numeric)
+        lo = np.searchsorted(self.line, lines)
+        return _ranges(lo, np.searchsorted(self.line, lines + 1) - lo)
 
-    def operand(self, k):
+    def operand(self, td: TrainingData, k):
         """The threshold (midpoint to the next value) or category code of
         candidates k."""
-        at, v = self.at[k], self.values
-        mid = (v[at] + v[np.minimum(at + 1, len(v) - 1)]) / 2.0
-        return np.where(self.numeric[self.line[k]], mid, v[at])
+        at, line = self.at[k], self.line[k]
+        base = td.value_row[self.feat[line]] * td.n
+        v = td.values.take(self.rows[at] + base)
+        after = td.values.take(self.rows[np.minimum(at + 1, len(self.rows) - 1)] + base)
+        return np.where(self.numeric[line], (v + after) / 2.0, v)
+
+
+def _mark(td: TrainingData, node: np.ndarray, feat: np.ndarray, m: np.ndarray,
+          rows: np.ndarray) -> Lines:
+    """The Lines of laid-out lines (`rows` holds each line's rows in its
+    feature's sorted order, concatenated; `node`, `feat` and `m` each
+    line's node, feature and length) with their candidates. A numeric
+    line's candidates are its cuts, between distinct present values; a
+    categorical line's are its categories, unless one holds every present
+    row. Marking is line by line, so the Lines of consecutive lines joined
+    equal the Lines of the lines marked at once."""
+    numeric = td.is_numeric[feat]
+    v = td.values.take(rows + (td.value_row[feat] * td.n).repeat(m))
+    present = v == v  # NaN is missing
+    ends = m.cumsum() - 1
+    differs = np.ones(len(v), dtype=bool)
+    np.not_equal(v[:-1], v[1:], out=differs[:-1])
+    cut = np.zeros(len(v), dtype=bool)  # numeric cuts need a present value after them
+    np.logical_and(differs[:-1], present[1:], out=cut[:-1])
+    cut[ends] = False
+    categorical = np.flatnonzero(~numeric)
+    if len(categorical):  # a category's candidate is the last cell of its run
+        differs[ends] = True
+        mc, start = m[categorical], ends[categorical] - m[categorical] + 1
+        runs = _ranges(start, mc)
+        cut[runs] = differs[runs] & present[runs]
+        # ... unless one category holds every present row: it separates nothing
+        count = cut[runs].cumsum()[mc.cumsum() - 1]
+        count[1:] -= count[:-1].copy()
+        lone = np.flatnonzero(count == 1)
+        if len(lone):
+            cut[_ranges(start[lone], mc[lone])] = False
+    at = np.flatnonzero(cut)
+    line = np.searchsorted(ends, at)
+    first = (ends - m + 1)[line]
+    if len(categorical):  # a category's run begins after the previous one's
+        cat = np.searchsorted(at, runs[cut[runs]])
+        later = line[cat[1:]] == line[cat[:-1]]
+        first[cat[1:][later]] = at[cat[:-1][later]] + 1
+    return Lines(node, feat, numeric, m, ends, rows, present, at, line, first)
 
 
 def line_chunks(td: TrainingData, batch: Batch, features: list[np.ndarray]):
     """The lines of each node of `batch` over its features (indexes into
-    td.features, ascending), node by node, in chunks of about _BLOCK_CELLS
-    cells, with their candidates; chunks without one are skipped. Every
-    split search, and the feature ranking, scores these. A numeric line's
-    candidates are its cuts, between distinct present values; a categorical
-    line's are its categories, unless one holds every present row."""
+    td.features, ascending), node by node, sorted, in chunks of about
+    _BLOCK_CELLS cells, with their candidates; chunks without one are
+    skipped. The unweighted Gini search and the feature ranking score
+    these."""
     line_node = np.arange(len(features)).repeat([len(f) for f in features])
     line_feat = np.concatenate(features)
-    numeric = td.is_numeric[line_feat]
     lengths = batch.lengths[line_node]
-    for lo, hi in _chunks(lengths):
-        node, m = line_node[lo:hi], lengths[lo:hi]
-        rows, cells = _sorted_lines(td, batch, node, td.value_row[line_feat[lo:hi]], m)
-        v = td.values.take(cells)
-        present = v == v  # NaN is missing
-        ends = m.cumsum() - 1
-        differs = np.ones(len(v), dtype=bool)
-        np.not_equal(v[:-1], v[1:], out=differs[:-1])
-        cut = np.zeros(len(v), dtype=bool)  # numeric cuts need a present value after them
-        np.logical_and(differs[:-1], present[1:], out=cut[:-1])
-        cut[ends] = False
-        categorical = np.flatnonzero(~numeric[lo:hi])
-        if len(categorical):  # a category's candidate is the last cell of its run
-            differs[ends] = True
-            mc, start = m[categorical], ends[categorical] - m[categorical] + 1
-            runs = _ranges(start, mc)
-            cut[runs] = differs[runs] & present[runs]
-            # ... unless one category holds every present row: it separates nothing
-            count = cut[runs].cumsum()[mc.cumsum() - 1]
-            count[1:] -= count[:-1].copy()
-            lone = np.flatnonzero(count == 1)
-            if len(lone):
-                cut[_ranges(start[lone], mc[lone])] = False
-        at = np.flatnonzero(cut)
-        line = np.searchsorted(ends, at)
-        first = (ends - m + 1)[line]
-        if len(categorical):  # a category's run begins after the previous one's
-            cat = np.searchsorted(at, runs[cut[runs]])
-            later = line[cat[1:]] == line[cat[:-1]]
-            first[cat[1:][later]] = at[cat[:-1][later]] + 1
-        if len(at):
-            yield Lines(node, line_feat[lo:hi], numeric[lo:hi], m, ends, rows, v, present,
-                        at, line, first)
+    bounds = _blocks(lengths.cumsum() - lengths)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if lo == hi:
+            continue
+        node, feat, m = line_node[lo:hi], line_feat[lo:hi], lengths[lo:hi]
+        ch = _mark(td, node, feat, m, _sorted_lines(td, batch, node, td.value_row[feat], m))
+        if len(ch.at):
+            yield ch
 
 
-def _run_sums(x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """np.sum of each run of x (runs concatenated, of `lengths`), bit for
-    bit. numpy sums each row of a C-ordered array as it sums that row alone,
-    so runs are summed as the rows of one array per width; np.add.reduceat
-    would add each run in order instead. A run of under 128 values is
-    zero-padded to the next width of 7 mod 8, which changes no sum: numpy
-    adds its last (length mod 8) values in order after the rest."""
-    starts = lengths.cumsum() - lengths
-    width = np.where(lengths < 128, lengths | 7, lengths)
-    width[lengths == 0] = 0  # an empty run sums to 0
-    order = np.argsort(width, kind="stable")
-    bounds = np.flatnonzero(np.diff(width[order], prepend=0, append=-1))
-    padded = np.append(x, 0.0)
-    out = np.zeros(len(lengths))
-    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        runs, w = order[lo:hi], int(width[order[lo]])
-        cells = starts[runs, None] + np.arange(w)
-        cells[np.arange(w) >= lengths[runs, None]] = len(x)  # the appended zero
-        out[runs] = padded[cells].sum(axis=1)
-    return out
+def _join(a: Lines, b: Lines) -> Lines:
+    """The Lines of a's lines followed by b's."""
+    lines, cells = len(a.m), len(a.rows)
+    return Lines(*(np.concatenate((x, y)) for x, y in zip(
+        a, b._replace(ends=b.ends + cells, at=b.at + cells, line=b.line + lines,
+                      first=b.first + cells))))
 
 
-def masked_sums(amount: np.ndarray, rows: np.ndarray, m: np.ndarray, *masks) -> np.ndarray:
-    """For each mask over `rows` (runs of lengths m), the np.sum of `amount`
-    over each run's rows where the mask holds, in the order given;
-    (masks, runs)."""
+class KeptLines:
+    """The lines of nodes over every feature, laid out once and kept while
+    a fit scores them again, as SPRINT (Shafer, Agrawal and Mehta 1996)
+    keeps its attribute lists. `chunks` are the chunks `line_chunks` gives
+    for the kept nodes in order, chunks without a candidate included, with
+    rows and candidates as int32; a node's index is its place among the
+    kept nodes.
+
+    The root's lines are the presort. A subset of a kept node has the
+    node's lines filtered stably by a row mask (`filter`), which holds the
+    cells that sorting the subset's rows gives, in the same order: no line
+    is sorted again, and every sum over the lines is what sorting gives."""
+
+    def __init__(self, td: TrainingData, lines: list[np.ndarray]):
+        self.td = td
+        self.chunks: list[Lines] = []
+        self.starts: list[int] = []   # each chunk's first cell among all kept cells
+        self.sizes: list[int] = []    # each node's rows
+        self.offsets: list[int] = []  # each node's first cell
+        self.add(lines)
+
+    @classmethod
+    def root(cls, td: TrainingData) -> KeptLines:
+        """The lines of the node that holds every row."""
+        return cls(td, [td.order.take(td.value_row, axis=0).astype(np.int32)])
+
+    def add(self, lines: list[np.ndarray]) -> int:
+        """Keep the lines of more nodes, each as (features, rows) row ids,
+        and return the index of the first chunk that changed: the last
+        chunk takes the new lines whose first cell falls in its block."""
+        td, n_feat = self.td, len(self.td.features)
+        cells = self.offsets[-1] + n_feat * self.sizes[-1] if self.sizes else 0
+        sizes = np.array([rows.shape[1] for rows in lines], dtype=np.int64)
+        self.offsets += (cells + n_feat * (sizes.cumsum() - sizes)).tolist()
+        node = np.arange(len(self.sizes), len(self.sizes) + len(sizes)).repeat(n_feat)
+        self.sizes += sizes.tolist()
+        feat = np.tile(np.arange(n_feat), len(sizes))
+        m = sizes.repeat(n_feat)
+        rows = np.concatenate([r.ravel() for r in lines]) if lines else np.zeros(0, np.int32)
+        first = m.cumsum() - m  # each line's first cell among the new ones
+        bounds = _blocks(cells + first)
+        changed = len(self.chunks)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if lo == hi:
+                continue
+            a, b = int(first[lo]), int(first[hi - 1] + m[hi - 1])
+            ch = _mark(td, node[lo:hi], feat[lo:hi], m[lo:hi], rows[a:b])
+            ch = ch._replace(**{k: getattr(ch, k).astype(np.int32) for k in ("at", "line", "first")})
+            if self.chunks and (cells + a) // _BLOCK_CELLS == self.starts[-1] // _BLOCK_CELLS:
+                self.chunks[-1] = _join(self.chunks[-1], ch)
+                changed = len(self.chunks) - 1
+            else:
+                self.chunks.append(ch)
+                self.starts.append(cells + a)
+        return changed
+
+    def lines(self, i: int) -> np.ndarray:
+        """Node i's lines, as (features, rows) row ids."""
+        n_feat, m = len(self.td.features), self.sizes[i]
+        lo, hi = self.offsets[i], self.offsets[i] + n_feat * m
+        parts = []
+        k = int(np.searchsorted(self.starts, lo, side="right")) - 1
+        while lo < hi:
+            start = self.starts[k]
+            end = min(hi, start + len(self.chunks[k].rows))
+            parts.append(self.chunks[k].rows[lo - start:end - start])
+            lo, k = end, k + 1
+        rows = parts[0] if len(parts) == 1 else np.concatenate(parts or [np.zeros(0, np.int32)])
+        return rows.reshape(n_feat, m)
+
+    def filter(self, i: int, keep: np.ndarray) -> np.ndarray:
+        """The lines of the rows of node i where `keep` (a mask over every
+        row, true only on rows of node i) holds: node i's lines filtered
+        stably, as (features, rows) row ids."""
+        rows = self.lines(i)
+        return rows[keep[rows]].reshape(len(rows), int(np.count_nonzero(keep)))
+
+
+def _masked(rows: np.ndarray, m: np.ndarray, masks) -> tuple[np.ndarray, np.ndarray]:
+    """(picked, lengths): for each mask over `rows` (runs of lengths m), the
+    rows of each run where it holds, mask by mask and run by run, and the
+    runs' lengths; the runs of a RunSums."""
     run = np.arange(len(m)).repeat(m)
-    picked = np.concatenate([rows[mask] for mask in masks])
-    lengths = np.concatenate([np.bincount(run[mask], minlength=len(m)) for mask in masks])
-    return _run_sums(amount.take(picked), lengths).reshape(len(masks), len(m))
+    return (np.concatenate([rows[mask] for mask in masks]),
+            np.concatenate([np.bincount(run[mask], minlength=len(m)) for mask in masks]))
+
+
+class RunSums:
+    """The np.sum of an amount over each of several runs of its entries,
+    bit for bit, planned once for amounts that change; runs can be added
+    (`extend`). numpy sums each row of a C-ordered array as it sums that
+    row alone, so runs are summed as the rows of one array per width;
+    np.add.reduceat would add each run in order instead. A run of under 128
+    entries is padded with zeros to the next width of 7 mod 8, which
+    changes no sum: numpy adds its last (length mod 8) values in order
+    after the rest."""
+
+    def __init__(self, picked: np.ndarray, lengths: np.ndarray, size: int):
+        self.size = size  # the amount's length; entry `size` is a zero appended to it
+        self.n = 0
+        self.groups: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # width: (runs, entries)
+        self.extend(picked, lengths)
+
+    def extend(self, picked: np.ndarray, lengths: np.ndarray) -> None:
+        """Plan the sums over more runs, numbered on: `picked` holds their
+        entries (indexes into the amount), concatenated, of `lengths`."""
+        starts = lengths.cumsum() - lengths
+        width = np.where(lengths < 128, lengths | 7, lengths)
+        width[lengths == 0] = 0  # an empty run sums to 0
+        order = np.argsort(width, kind="stable")
+        bounds = np.flatnonzero(np.diff(width[order], prepend=0, append=-1))
+        picked = np.append(picked, self.size)
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            runs, w = order[lo:hi], int(width[order[lo]])
+            cells = starts[runs, None] + np.arange(w)
+            cells[np.arange(w) >= lengths[runs, None]] = len(picked) - 1
+            runs, cells = runs + self.n, picked[cells]
+            if w in self.groups:
+                runs, cells = (np.concatenate(x) for x in zip(self.groups[w], (runs, cells)))
+            self.groups[w] = (runs, cells)
+        self.n += len(lengths)
+
+    def __call__(self, amount: np.ndarray) -> np.ndarray:
+        padded = np.append(amount, 0.0)
+        out = np.zeros(self.n)
+        for runs, cells in self.groups.values():
+            out[runs] = padded.take(cells).sum(axis=1)
+        return out
 
 
 def _segment_argmax(score: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -408,7 +547,10 @@ class GiniSearch:
     line per member; by default one member of `td.multiplicity`. Without
     `weights` the class sums are exact integer counts; with them (AdaBoost,
     one member, rows not merged) they are weight sums, while min_leaf and
-    missing routing still count rows.
+    missing routing still count rows. A boosting fit sets `weights` anew
+    each round and keeps the search, which keeps the root's lines and
+    candidates (`root_lines`); a weighted node's lines are filtered from
+    its parent's, so a weighted search sorts no line.
 
     Splits maximize the sum-of-squares purity score: for class sums
     (aL, bL | aR, bR) the weighted child Gini is 1 - score/n with
@@ -432,35 +574,43 @@ class GiniSearch:
         self.members = len(counts)
         self.packed = (counts.astype(np.int64) << _PACK) | (counts * td.y)
         self.min_leaf = min_leaf
+        self._root_scored = None  # the root's candidates and weight-sum plans
+
+    @cached_property
+    def root_lines(self) -> KeptLines:
+        return KeptLines.root(self.td)
 
     def node(self, member: int, rows: np.ndarray, n: int | None = None,
-             a: int | None = None) -> Node:
+             a: int | None = None, lines: KeptLines | None = None) -> Node:
         """The node holding `rows` of a member's tree; `n` and `a` are its
-        row and class-1 counts when the caller knows them."""
+        row and class-1 counts when the caller knows them, and a weighted
+        node's `lines` hold its rows (by default the root's)."""
         if n is None:
             total = int(self.packed[member].take(rows).sum())
             n, a = total >> _PACK, total & _LOW
         if self.weights is None:
-            p1 = a / n
-        else:  # the class-1 share of weight
-            w = self.weights[rows]
-            p1 = float(w[self.td.y[rows] == 1].sum() / w.sum())
-        return Node(member, rows, n, p1, a == 0 or a == n, a)
+            return Node(member, rows, n, a / n, a == 0 or a == n, a)
+        w = self.weights[rows]  # the class-1 share of weight
+        p1 = float(w[self.td.y[rows] == 1].sum() / w.sum())
+        return Node(member, rows, n, p1, a == 0 or a == n, a,
+                    self.root_lines if lines is None else lines)
 
     def root(self, member: int) -> Node:
         return self.node(member, np.flatnonzero(self.packed[member]))
 
-    def candidates(self, nodes: list[Node], batch: Batch, features: list[np.ndarray]):
-        """The line_chunks of `nodes` (rows in `batch`) with, at each
-        candidate, whether missing rows go left and the rows and class-1
-        rows going left and right, counted with multiplicity: (lines, missing
-        goes left, nL, aL, nR, aR). Counts are differences of one prefix sum
-        over the chunk, in exact int64."""
+    def candidates(self, nodes: list[Node], chunks):
+        """The chunks of lines of `nodes` that hold a candidate, with, at
+        each candidate, whether missing rows go left and the rows and
+        class-1 rows going left and right, counted with multiplicity:
+        (lines, missing goes left, nL, aL, nR, aR). Counts are differences
+        of one prefix sum over the chunk, in exact int64."""
         td = self.td
         member = np.array([nd.member for nd in nodes], dtype=np.int64)
         # the nodes' rows and class-1 rows, packed
         packed = np.array([(nd.n << _PACK) | nd.a for nd in nodes], dtype=np.int64)
-        for ch in line_chunks(td, batch, features):
+        for ch in chunks:
+            if not len(ch.at):
+                continue
             at = ch.rows
             if self.members > 1:
                 at = at + (member[ch.node] * td.n).repeat(ch.m)
@@ -477,8 +627,9 @@ class GiniSearch:
 
     def split(self, nodes: list[Node], features: list[np.ndarray]) -> list:
         """For each node, the best split over its features (indexes into
-        td.features, ascending): (condition, mask over the node's rows routed
-        left, score, left child, right child), or None.
+        td.features, ascending; a weighted search takes one node and every
+        feature): (condition, mask over the node's rows routed left, score,
+        left child, right child), or None.
 
         All nodes are scored in one batch of lines, a line being one (node,
         feature) pair: the node's rows in the feature's sorted order.
@@ -486,13 +637,15 @@ class GiniSearch:
         first maximum in (feature, cut) order, the tie rule."""
         td = self.td
         batch = Batch([nd.rows for nd in nodes])
+        if self.weights is None:
+            lines = None
+            scored = ((c, self._counted(*c[2:])) for c in
+                      self.candidates(nodes, line_chunks(td, batch, features)))
+        else:
+            lines, scored = self._weighted_lines(nodes[0])
+            scored = ((c, self._weighted(nodes[0], c[0], *plan)) for c, plan in scored)
         found = []
-        for ch, miss_left, nL, aL, nR, aR in self.candidates(nodes, batch, features):
-            if self.weights is None:
-                bL, bR = nL - aL, nR - aR
-                score = ((aL * aL + bL * bL) * nR + (aR * aR + bR * bR) * nL) / (nL * nR)
-            else:
-                score = self._weighted(batch, ch, miss_left)
+        for (ch, miss_left, nL, aL, nR, aR), score in scored:
             if self.min_leaf > 1:
                 score = np.where((nL >= self.min_leaf) & (nR >= self.min_leaf), score, -np.inf)
             if len(nodes) == 1:
@@ -503,7 +656,7 @@ class GiniSearch:
                 starts = starts[starts < len(ch.line)]
                 first = _segment_argmax(score, starts[_segments(starts)])
             line = ch.line[first]
-            found.append((ch.node[line], ch.feat[line], score[first], ch.operand(first),
+            found.append((ch.node[line], ch.feat[line], score[first], ch.operand(td, first),
                           miss_left[first], nL[first], aL[first]))
         results = [None] * len(nodes)
         if not found:
@@ -536,11 +689,73 @@ class GiniSearch:
             else:
                 cond = SplitCondition(name, CATEGORICAL_EQ, missing_goes=goes,
                                       category=str(td.categories[name][int(t)]))
-            results[b] = (cond, mask, best, self.node(nd.member, nd.rows[mask], nL, aL),
-                          self.node(nd.member, nd.rows[~mask], nd.n - nL, nd.a - aL))
+            results[b] = (cond, mask, best,
+                          self.node(nd.member, nd.rows[mask], nL, aL, lines),
+                          self.node(nd.member, nd.rows[~mask], nd.n - nL, nd.a - aL, lines))
         return results
 
-    def _weighted(self, batch: Batch, ch: Lines, miss_left: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _counted(nL, aL, nR, aR) -> np.ndarray:
+        """Gini scores from exact counts."""
+        bL, bR = nL - aL, nR - aR
+        return ((aL * aL + bL * bL) * nR + (aR * aR + bR * bR) * nL) / (nL * nR)
+
+    def _weighted_lines(self, nd: Node) -> tuple[KeptLines, list]:
+        """A weighted node's kept lines, filtered from those it carries
+        unless they are its own, and, per chunk with a candidate, its
+        candidates and the plan of its weight sums. The root's are made
+        once per search, and every boosting round scores them."""
+        td, lines = self.td, nd.lines
+        if lines.sizes[0] != len(nd.rows):
+            keep = np.zeros(td.n, dtype=bool)
+            keep[nd.rows] = True
+            lines = KeptLines(td, [lines.filter(0, keep)])
+        elif lines is self.root_lines and self._root_scored is not None:
+            return lines, self._root_scored
+        scored = [(c, self._plan(nd, *c[:2])) for c in self.candidates([nd], lines.chunks)]
+        if lines is self.root_lines:
+            self._root_scored = scored
+        return lines, scored
+
+    def _plan(self, nd: Node, ch: Lines, miss_left: np.ndarray) -> tuple:
+        """(lines with a missing cell, the candidates on them whose missing
+        rows go left and their lines' places among those lines, the same for
+        right, categorical candidates, RunSums) of a chunk of a weighted
+        node. Over the class-1 weights followed by the weights, the plan
+        sums, for each line with a missing cell, the class-1 and all weight
+        present and the class-1 and class-0 weight missing, in line order;
+        then, for each category, the class-1 and class-0 weight of its left
+        branch (its rows, and missing ones with it), in row order."""
+        td, n = self.td, self.td.n
+        parts = []
+        partial = np.flatnonzero(~ch.present[ch.ends])
+        place = np.full(len(ch.m), -1)
+        place[partial] = np.arange(len(partial))
+        on = place[ch.line]
+        to_left = np.flatnonzero((on >= 0) & miss_left)
+        to_right = np.flatnonzero((on >= 0) & ~miss_left)
+        if len(partial):
+            m = ch.m[partial]
+            cells = _ranges(ch.ends[partial] - m + 1, m)
+            rows, present = ch.rows[cells], ch.present[cells]
+            missing = np.where(present, -1, td.y.take(rows))
+            parts.append(_masked(rows, m, [present]))
+            parts.append(_masked(rows + n, m, [present, missing == 1, missing == 0]))
+        cat = ch.categorical()
+        if len(cat):
+            m = np.full(len(cat), len(nd.rows))
+            rows = np.tile(nd.rows, len(cat))
+            x = td.values.take(rows + (td.value_row[ch.feat[ch.line[cat]]] * n).repeat(m))
+            left = (x == ch.operand(td, cat).repeat(m)) | (np.isnan(x) & miss_left[cat].repeat(m))
+            y_rows = td.y.take(rows)
+            parts.append(_masked(rows + n, m, [left & (y_rows == 1), left & (y_rows == 0)]))
+        picked, lengths = (np.concatenate(x) for x in zip(*parts)) if parts else (
+            np.zeros(0, np.int64), np.zeros(0, np.int64))
+        return (partial, (to_left, on[to_left]), (to_right, on[to_right]), cat,
+                RunSums(picked, lengths, 2 * n))
+
+    def _weighted(self, nd: Node, ch: Lines, partial: np.ndarray, left: tuple, right: tuple,
+                  cat: np.ndarray, plan: RunSums) -> np.ndarray:
         """Weighted Gini scores of a chunk's candidates, in the one node of a
         weighted search, so every line holds the node's rows. Weight sums
         add as a scan of each feature would: running sums in the line's
@@ -548,34 +763,23 @@ class GiniSearch:
         td, line = self.td, ch.line
         amounts = np.stack([self.weights * td.y, self.weights])
         # numeric cuts: class-1 and all weight of the present rows up to the cut
-        sums = ch.running_sums(amounts)
-        waL, cum_w = sums[:, ch.at]
-        # per line: class-1 and all weight present, class-1 and class-0 missing;
-        # a line without missing rows sums its whole row
+        sums = ch.running_sums(paired(*amounts)).take(ch.at)
+        L1, cum_w = sums.real.copy(), sums.imag
+        # per line: class-1 and all weight present; a line without missing
+        # rows sums its whole row
         a_pres, w_pres = amounts.take(ch.rows, axis=1).reshape(2, len(ch.m), -1).sum(axis=2)
-        a_miss, b_miss = np.zeros((2, len(ch.m)))
-        partial = np.flatnonzero(~ch.present[ch.ends])
-        if len(partial):
-            m = ch.m[partial]
-            cells = _ranges(ch.ends[partial] - m + 1, m)
-            rows, present = ch.rows[cells], ch.present[cells]
-            missing = np.where(present, -1, td.y.take(rows))
-            a_pres[partial] = masked_sums(amounts[0], rows, m, present)[0]
-            w_pres[partial], a_miss[partial], b_miss[partial] = masked_sums(
-                amounts[1], rows, m, present, missing == 1, missing == 0)
-        L1 = waL + np.where(miss_left, a_miss[line], 0.0)
-        L0 = cum_w - waL + np.where(miss_left, b_miss[line], 0.0)
-        waR = a_pres[line] - waL
-        R1 = waR + np.where(miss_left, 0.0, a_miss[line])
-        R0 = w_pres[line] - cum_w - waR + np.where(miss_left, 0.0, b_miss[line])
-        cat = np.flatnonzero(~ch.numeric[line])
+        sums, p = plan(amounts.ravel()), len(partial)
+        a_pres[partial], w_pres[partial], a_miss, b_miss = sums[:4 * p].reshape(4, p)
+        L0 = cum_w - L1
+        R1 = a_pres[line] - L1
+        R0 = w_pres[line] - cum_w - R1
+        # missing rows join a branch; elsewhere they weigh nothing, and x + 0.0 is x
+        for (a, b), (k, j) in (((L1, L0), left), ((R1, R0), right)):
+            a[k] += a_miss[j]
+            b[k] += b_miss[j]
         if len(cat):  # a category's left branch: its rows, and missing ones with it
-            rows, x, m = batch.line_values(td, ch.node[line[cat]], ch.feat[line[cat]])
-            left = (x == ch.values[ch.at[cat]].repeat(m)) | (np.isnan(x) & miss_left[cat].repeat(m))
-            y_rows = td.y.take(rows)
-            L1[cat], L0[cat] = masked_sums(self.weights, rows, m, left & (y_rows == 1),
-                                           left & (y_rows == 0))
-            wn, yn = self.weights[batch.rows], td.y[batch.rows]
+            L1[cat], L0[cat] = sums[4 * p:].reshape(2, len(cat))
+            wn, yn = self.weights[nd.rows], td.y[nd.rows]
             R1[cat] = wn[yn == 1].sum() - L1[cat]
             R0[cat] = wn[yn == 0].sum() - L0[cat]
         WL, WR = L1 + L0, R1 + R0

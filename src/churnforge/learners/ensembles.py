@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..features import FeatureMatrix
-from .conditions import RowScoring, TrainingData
-from .trees import TreeModel, TreeNode, fit_tree, fit_trees
+from .conditions import GiniSearch, RowScoring, TrainingData
+from .trees import TreeModel, TreeNode, fit_trees, fit_weighted
 
 VOTE = "vote"
 MARGIN = "margin"
@@ -122,6 +122,10 @@ def train_adaboost(matrix: FeatureMatrix, n_boost_rounds: int = 20,
     """
     if n_boost_rounds < 1:
         raise ValueError("n_boost_rounds must be positive")
+    if base_algorithm not in ("stump", "cart"):
+        raise ValueError(f"unsupported AdaBoost base learner {base_algorithm!r}")
+    if base_algorithm == "stump":
+        max_depth, min_leaf = 1, 1
     td = TrainingData(matrix)
     n = matrix.n_rows
     y = matrix.labels.astype(np.float64)
@@ -129,14 +133,10 @@ def train_adaboost(matrix: FeatureMatrix, n_boost_rounds: int = 20,
     w = np.ones(n)
     members: list[TreeModel] = []
     alphas: list[float] = []
+    search = GiniSearch(td, weights=w, min_leaf=min_leaf)  # one root layout for every round
 
     for _ in range(n_boost_rounds):
-        if base_algorithm == "stump":
-            member = fit_tree(td, max_depth=1, min_leaf=1, weights=w)
-        elif base_algorithm == "cart":
-            member = fit_tree(td, max_depth=max_depth, min_leaf=min_leaf, weights=w)
-        else:
-            raise ValueError(f"unsupported AdaBoost base learner {base_algorithm!r}")
+        member = fit_weighted(search, w, max_depth)
         pred = (member.score_matrix(matrix) > member.threshold).astype(np.float64)
         wrong = pred != y
         eps = float(w[wrong].sum() / w.sum())

@@ -101,26 +101,38 @@ def grow(search: GiniSearch, max_depth: int, features_per_split: int | None,
             stacks[node.member] += [(tree.right, right, depth + 1), (tree.left, left, depth + 1)]
 
 
-def fit_trees(td: TrainingData, rngs: list, max_depth: int, min_leaf: int,
-              counts: np.ndarray | None = None, weights: np.ndarray | None = None,
-              features_per_split: int | None = None) -> list[TreeModel]:
-    """Grow one tree per rng on presorted data, in lockstep; `counts` holds
-    each tree's bootstrap row multiplicities, one line per tree (rows drawn
-    0 times take no part). A weighted fit grows one tree."""
+def _check(td: TrainingData, max_depth: int, min_leaf: int) -> None:
     if max_depth < 1 or min_leaf < 1:
         raise ValueError("max_depth and min_leaf must be positive")
     if td.n == 0:
         raise ValueError("cannot train on an empty matrix")
+
+
+def fit_trees(td: TrainingData, rngs: list, max_depth: int, min_leaf: int,
+              counts: np.ndarray | None = None,
+              features_per_split: int | None = None) -> list[TreeModel]:
+    """Grow one tree per rng on presorted data, in lockstep; `counts` holds
+    each tree's bootstrap row multiplicities, one line per tree (rows drawn
+    0 times take no part)."""
+    _check(td, max_depth, min_leaf)
     counts = np.tile(td.multiplicity, (len(rngs), 1)) if counts is None else counts
-    search = GiniSearch(td, counts=counts, weights=weights, min_leaf=min_leaf)
+    search = GiniSearch(td, counts=counts, min_leaf=min_leaf)
     return [TreeModel(root, list(td.feature_names))
             for root in grow(search, max_depth, features_per_split, rngs)]
 
 
-def fit_tree(td: TrainingData, max_depth: int, min_leaf: int,
-             weights: np.ndarray | None = None) -> TreeModel:
-    """Grow one tree on presorted data, each row weighted by `weights` if given."""
-    return fit_trees(td, [None], max_depth, min_leaf, weights=weights)[0]
+def fit_tree(td: TrainingData, max_depth: int, min_leaf: int) -> TreeModel:
+    """Grow one tree on presorted data."""
+    return fit_trees(td, [None], max_depth, min_leaf)[0]
+
+
+def fit_weighted(search: GiniSearch, weights: np.ndarray, max_depth: int) -> TreeModel:
+    """Grow one tree by a weighted search, each row weighted by `weights`.
+    The search keeps the root's lines and candidates from call to call, so
+    the rounds of a boosting fit lay them out once."""
+    _check(search.td, max_depth, search.min_leaf)
+    search.weights = weights
+    return TreeModel(grow(search, max_depth, None, [None])[0], list(search.td.feature_names))
 
 
 def train_cart(matrix: FeatureMatrix, max_depth: int = 6, min_leaf: int = 1) -> TreeModel:

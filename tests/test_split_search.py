@@ -6,7 +6,7 @@ import pytest
 
 from churnforge import LearnerSpec, rank_features, train
 from churnforge.features import is_missing
-from churnforge.learners.conditions import GiniSearch, TrainingData, _run_sums
+from churnforge.learners.conditions import GiniSearch, RunSums, TrainingData
 from churnforge.model_io import model_to_dict
 from conftest import make_matrix
 
@@ -184,7 +184,7 @@ def test_run_sums_equal_np_sum_of_each_run():
         x = rng.random(int(lengths.sum())) * float(rng.choice([1e-3, 1.0, 1e5]))
         starts = lengths.cumsum() - lengths
         expected = [x[s:s + m].sum() for s, m in zip(starts, lengths)]
-        assert _run_sums(x, lengths).tolist() == expected
+        assert RunSums(np.arange(len(x)), lengths, len(x))(x).tolist() == expected
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from churnforge import train_cart, train_stump
+from churnforge import LearnerSpec, train, train_cart, train_stump
 from churnforge.model_io import model_to_dict
 from conftest import make_matrix
 
@@ -312,3 +313,13 @@ def test_nan_in_categorical_column_routes_as_missing():
     for i in range(m.n_rows):
         assert model.score_row(m.row(i)) == batch[i] == walk_score(model, m.row(i))
     assert model.score_row({"loc": nan, "x": 1.0}) == model.score_row({"loc": None, "x": 1.0})
+
+
+@pytest.mark.parametrize("algorithm", ["stump", "adtree", "adaboost"])
+def test_non_string_category_is_refused_at_training(algorithm):
+    """A split condition holds its category as a string, so an int category
+    would train a perfect split that then scores every row as missing."""
+    m = make_matrix({"c": [i % 2 for i in range(40)]}, labels=[i % 2 for i in range(40)],
+                    kinds={"c": "categorical"})
+    with pytest.raises(ValueError, match=r"categorical feature 'c' holds the non-string value 0"):
+        train(m, LearnerSpec(algorithm))

@@ -57,6 +57,9 @@ class FeatureMatrix:
 
     def __post_init__(self):
         n = len(self.billing_ids)
+        repeated = [f for i, f in enumerate(self.feature_names) if f in self.feature_names[:i]]
+        if repeated:
+            raise ValueError(f"feature {repeated[0]!r} is repeated")
         for name in self.feature_names:
             if len(self.columns[name]) != n:
                 raise ValueError(f"column {name} has {len(self.columns[name])} rows, expected {n}")
@@ -504,6 +507,9 @@ def read_matrix(path: str) -> FeatureMatrix:
     header = r.names
     if not header or header[0] != "billing_id":
         raise ValueError(f"{path}:1: expected billing_id header column")
+    repeated = [name for i, name in enumerate(header) if name in header[:i]]
+    if repeated:
+        raise ValueError(f"{path}:1: the column {repeated[0]!r} is repeated")
     has_label = header[-1] == "label"
     names = header[1:len(header) - has_label]
     labels = None

@@ -21,10 +21,10 @@ lexicographically smaller feature, then the smaller threshold/category.
 
 Determinism note: a numeric cut's weight sums are running sums over the
 node's rows in value-sorted, stable-index order, and its false-branch sums
-are the line's total less them. A category's sums, and the node's present
-total, add the rows holding it pairwise (np.sum) in row order. That
-accumulation order is part of the contract: it makes tie comparisons
-reproducible bit-for-bit.
+are the line's present total less them, the running sum at the line's last
+present cell. A category's sums, and a categorical line's present total,
+add their rows pairwise (np.sum) in row order. That accumulation order is
+part of the contract: it makes tie comparisons reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..features import FeatureMatrix
-from .conditions import (CATEGORICAL_EQ, NUMERIC_LT, KeptLines, Lines, RowScoring, RunSums,
-                         SplitCondition, TrainingData, paired)
+from .conditions import KeptLines, Lines, RowScoring, RunSums, SplitCondition, TrainingData, paired
 
 
 @dataclass
@@ -126,7 +125,7 @@ def train_adtree(matrix: FeatureMatrix, n_boost_rounds: int = 10) -> ADTreeModel
     if td.n == 0:
         raise ValueError("cannot train on an empty matrix")
     ypm = np.where(td.y == 1, 1.0, -1.0)
-    w = np.ones(td.n)
+    w, every = np.ones(td.n), np.arange(td.n)
 
     root_value = _value(float(w[td.y == 1].sum()), float(w[td.y == 0].sum()))
     w *= np.exp(-ypm * root_value)
@@ -145,14 +144,13 @@ def train_adtree(matrix: FeatureMatrix, n_boost_rounds: int = 10) -> ADTreeModel
         best = _best_condition(td, inputs, categories, w)
         if best is None:
             break
-        pos, cond = best
-        cond_yes, present = cond.masks(matrix.columns[cond.feature])
-        yes, no = reach[pos] & cond_yes, reach[pos] & present & ~cond_yes
+        pos, f, operand = best  # rows missing the feature enter neither branch
+        yes = reach[pos] & td.goes_left(every, f, operand, False)
+        no = reach[pos] & ~td.goes_left(every, f, operand, True)
         a_yes = _value(float(w[yes & (td.y == 1)].sum()), float(w[yes & (td.y == 0)].sum()))
         a_no = _value(float(w[no & (td.y == 1)].sum()), float(w[no & (td.y == 0)].sum()))
-        yes_node = PredictionNode(a_yes)
-        no_node = PredictionNode(a_no)
-        nodes[pos].splitters.append(Splitter(round_no, cond, yes_node, no_node))
+        yes_node, no_node = PredictionNode(a_yes), PredictionNode(a_no)
+        nodes[pos].splitters.append(Splitter(round_no, td.condition(f, operand), yes_node, no_node))
 
         w[yes] *= np.exp(-ypm[yes] * a_yes)
         w[no] *= np.exp(-ypm[no] * a_no)
@@ -190,8 +188,8 @@ class _CategorySums:
         td, picked, lengths = self.td, [], []
         for rows in nodes:
             positive = td.y[rows] == 1
-            for j, vocab in enumerate(td.categories.values()):
-                x = td.values[len(td.numeric) + j].take(rows)
+            for f, vocab in zip(np.flatnonzero(~td.is_numeric), td.categories.values()):
+                x = td.value(rows, f)
                 present = x == x
                 key = np.where(positive, 0, 1)[present] + 2 * x[present].astype(np.int64)
                 picked += [rows[present & positive], rows[present & ~positive],
@@ -222,12 +220,12 @@ class _CategorySums:
 
 def _best_condition(td: TrainingData, inputs: list, categories: _CategorySums,
                     w: np.ndarray):
-    """(prediction node, condition) of lowest Z over every feature of every
-    prediction node, scored over the kept lines' chunks (`inputs`, from
-    `categories.inputs`), or None when nothing splits. Rows missing the feature
-    fall in neither branch. Ties keep the earliest node, then the smaller
-    feature, then the smaller threshold or category: the first minimum in
-    line order."""
+    """(prediction node, feature, operand) of lowest Z over every feature of
+    every prediction node, scored over the kept lines' chunks (`inputs`,
+    from `categories.inputs`), or None when nothing splits. Rows missing the
+    feature fall in neither branch. Ties keep the earliest node, then the
+    smaller feature, then the smaller threshold or category: the first
+    minimum in line order."""
     weights = paired(np.where(td.y == 1, w, 0.0), np.where(td.y == 1, 0.0, w))
     total_w = float(w.sum())
     best = (np.inf, None)
@@ -245,11 +243,4 @@ def _best_condition(td: TrainingData, inputs: list, categories: _CategorySums,
         if z[k] < best[0]:
             best = (z[k], (int(ch.node[ch.line[k]]), int(ch.feat[ch.line[k]]),
                            float(ch.operand(td, k))))
-    if best[1] is None:
-        return None
-    pos, f, operand = best[1]
-    feature = td.features[f]
-    if feature in td.column:
-        return pos, SplitCondition(feature, NUMERIC_LT, threshold=operand)
-    return pos, SplitCondition(feature, CATEGORICAL_EQ,
-                               category=str(td.categories[feature][int(operand)]))
+    return best[1]

@@ -7,8 +7,10 @@ category. Rows with a missing value are routed to the branch that held
 more training rows ("left" means the condition holds).
 
 Split search presorts once per fit, as SLIQ (Mehta et al. 1996) does.
-TrainingData holds every feature as one float64 row (categories as codes)
-and argsorts each row once, stably, missing values last. A line is one
+TrainingData holds one float64 row per feature, in name order (categories
+as codes), and argsorts each row once, stably, missing values last. It
+builds every trained condition (`TrainingData.condition`) and routes
+training rows by one rule on codes (`TrainingData.goes_left`). A line is one
 (node, feature) pair: the node's rows in the feature's sorted order, which
 is that fit-wide order filtered stably by the node's rows. `line_chunks`
 lays out the lines of a batch of nodes by sorting their cells by (line,
@@ -39,10 +41,14 @@ Unweighted Gini search is done in exact integer arithmetic (converted to
 float by one correctly-rounded division per candidate), so equal-valued
 candidates compare exactly equal and the deterministic tie rule applies:
 lexicographically smaller feature name first, then smaller threshold or
-category. Weighted sums associate as a scan of each feature of the node
-would: running sums in value-sorted, stable row order, and line totals and
-category sums pairwise (np.sum) over their rows, so weighted ties are
-reproducible bit for bit.
+category. Weighted sums are added in a fixed order, so weighted ties are
+reproducible bit for bit. Running sums add a line's cells in value-sorted,
+stable row order. AdaBoost's weighted Gini takes a line's present total
+pairwise (np.sum) over its present cells in line order, and a category's
+left-branch sums pairwise over their rows in row order. ADTree's Z takes a
+numeric line's present total as its running sum at its last present cell;
+only its categorical lines' present totals and its category sums are
+pairwise, in row order.
 """
 
 from __future__ import annotations
@@ -111,14 +117,14 @@ class TrainingData:
     """Columnar view of a FeatureMatrix for training.
 
     Features are listed in lexicographic order, the tie-break scan order.
-    `values` holds every feature as one float64 row, NaN = missing: the
-    numeric features first, then the categorical ones as codes into a sorted
-    vocabulary (`categories`). `order` holds each row's stable argsort
-    (missing values last), `position` each cell's index into the flattened
-    `order`, `index` each matrix row's row here and `multiplicity` how many
-    matrix rows each row stands for: the identity and ones, unless `merged`.
-    A categorical value must be a string (or missing), since a split
-    condition holds its category as a string.
+    `values[j]` holds feature j as one float64 row, NaN = missing: a numeric
+    feature's values, or a categorical one's codes into its sorted
+    vocabulary (`categories`); `is_numeric` says which. `order` holds each
+    row's stable argsort (missing values last), `position` each cell's
+    index into the flattened `order`, `index` each matrix row's row here and
+    `multiplicity` how many matrix rows each row stands for: the identity
+    and ones, unless `merged`. A categorical value must be a string (or
+    missing), since a split condition holds its category as a string.
     """
 
     def __init__(self, matrix: FeatureMatrix):
@@ -128,14 +134,15 @@ class TrainingData:
         self.n = n = matrix.n_rows
         self.feature_names = list(matrix.feature_names)
         self.features = sorted(matrix.feature_names)
-        self.numeric = [f for f in self.features if matrix.kinds[f] != CATEGORICAL]
-        self.column = {f: j for j, f in enumerate(self.numeric)}
+        self.is_numeric = np.array([matrix.kinds[f] != CATEGORICAL for f in self.features],
+                                   dtype=bool)
         self.categories: dict[str, list] = {}
-        code_rows = []
-        for name in self.features:
-            if name in self.column:
-                continue
+        self.values = np.empty((len(self.features), n))
+        for j, name in enumerate(self.features):
             values = matrix.columns[name]
+            if self.is_numeric[j]:
+                self.values[j] = values
+                continue
             vocab = {v for v in values if not is_missing(v)}
             if not all(isinstance(v, str) for v in vocab):  # a condition holds str(category)
                 bad = next(v for v in values if not (is_missing(v) or isinstance(v, str)))
@@ -143,17 +150,34 @@ class TrainingData:
             vocab = sorted(vocab)
             lookup = {v: i for i, v in enumerate(vocab)}
             self.categories[name] = vocab
-            code_rows.append([-1 if is_missing(v) else lookup[v] for v in values])
-        codes = np.array(code_rows, dtype=np.int64).reshape(len(code_rows), n)
-        self.values = np.empty((len(self.features), n))
-        for j, f in enumerate(self.numeric):
-            self.values[j] = matrix.columns[f]
-        self.values[len(self.numeric):] = np.where(codes < 0, np.nan, codes)
-        names = self.numeric + list(self.categories)
-        self.value_row = np.array([names.index(f) for f in self.features], dtype=np.int64)
-        self.is_numeric = self.value_row < len(self.numeric)
+            self.values[j] = [np.nan if is_missing(v) else lookup[v] for v in values]
         self.order = np.argsort(self.values, axis=1, kind="stable")
         self.index, self.multiplicity = np.arange(n), np.ones(n, dtype=np.int64)
+
+    def value(self, rows: np.ndarray, feat) -> np.ndarray:
+        """Each of `rows`' value (or category code) of feature `feat`, one
+        feature or one per row."""
+        return self.values.take(rows + feat * self.n)
+
+    def condition(self, f: int, operand: float, missing_goes: str = RIGHT) -> SplitCondition:
+        """The split condition on feature f at `operand`: a numeric
+        feature's threshold or a categorical one's category code."""
+        name = self.features[f]
+        if self.is_numeric[f]:
+            return SplitCondition(name, NUMERIC_LT, threshold=float(operand),
+                                  missing_goes=missing_goes)
+        return SplitCondition(name, CATEGORICAL_EQ, missing_goes=missing_goes,
+                              category=str(self.categories[name][int(operand)]))
+
+    def goes_left(self, rows: np.ndarray, feat, operand, missing_left) -> np.ndarray:
+        """Whether each of `rows` goes left under the condition on feature
+        `feat` at `operand` (see `condition`): its value is below the
+        threshold or is the category, or it is missing and `missing_left`.
+        Each of feat, operand and missing_left is one value or one per row.
+        This is the training-time route of every trained condition."""
+        x = self.value(rows, feat)
+        holds = np.where(self.is_numeric[feat], x < operand, x == operand)
+        return holds | (np.isnan(x) & missing_left)
 
     def merged(self) -> TrainingData:
         """The distinct rows: equal labels and presort ranks in every feature
@@ -231,14 +255,6 @@ class Batch:
         """The rows of each line's node (m = their numbers), concatenated."""
         return self.rows.take(_ranges(self.starts[node], m))
 
-    def line_values(self, td: TrainingData, node: np.ndarray, feat: np.ndarray):
-        """(rows, values, m): for each (node, feature) pair, the node's rows
-        in ascending order and their values of the feature, concatenated,
-        and the pairs' lengths."""
-        m = self.lengths[node]
-        rows = self.line_rows(node, m)
-        return rows, td.values.take(rows + (td.value_row[feat] * td.n).repeat(m)), m
-
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """start, start + 1, ..., start + length - 1 for each pair, concatenated."""
@@ -254,17 +270,16 @@ def _blocks(first: np.ndarray) -> list[int]:
     return [0] + (np.flatnonzero(block[1:] != block[:-1]) + 1).tolist() + [len(first)]
 
 
-def _sorted_lines(td: TrainingData, batch: Batch, node: np.ndarray, row: np.ndarray,
+def _sorted_lines(td: TrainingData, batch: Batch, node: np.ndarray, feat: np.ndarray,
                   m: np.ndarray) -> np.ndarray:
-    """Each line's node rows in the sorted order of its feature (`row` of
-    td.values; m = the lines' lengths), concatenated. The cells are sorted
-    by (line, presort index), which keeps the presort's stable order within
-    a line."""
+    """Each line's node rows in the sorted order of its feature (m = the
+    lines' lengths), concatenated. The cells are sorted by (line, presort
+    index), which keeps the presort's stable order within a line."""
     if (m == td.n).all():  # nodes holding every row: their lines are the presort
-        return td.order.take(row, axis=0).ravel()
+        return td.order.take(feat, axis=0).ravel()
     shift = int(td.order.size).bit_length()
-    key = td.position.take(batch.line_rows(node, m) + (row * td.n).repeat(m))
-    key |= (np.arange(len(row)) << shift).repeat(m)
+    key = td.position.take(batch.line_rows(node, m) + (feat * td.n).repeat(m))
+    key |= (np.arange(len(feat)) << shift).repeat(m)
     key.sort()
     return td.order.take(key & ((1 << shift) - 1))
 
@@ -321,9 +336,9 @@ class Lines(NamedTuple):
         """The threshold (midpoint to the next value) or category code of
         candidates k."""
         at, line = self.at[k], self.line[k]
-        base = td.value_row[self.feat[line]] * td.n
-        v = td.values.take(self.rows[at] + base)
-        after = td.values.take(self.rows[np.minimum(at + 1, len(self.rows) - 1)] + base)
+        feat = self.feat[line]
+        v = td.value(self.rows[at], feat)
+        after = td.value(self.rows[np.minimum(at + 1, len(self.rows) - 1)], feat)
         return np.where(self.numeric[line], (v + after) / 2.0, v)
 
 
@@ -337,7 +352,7 @@ def _mark(td: TrainingData, node: np.ndarray, feat: np.ndarray, m: np.ndarray,
     row. Marking is line by line, so the Lines of consecutive lines joined
     equal the Lines of the lines marked at once."""
     numeric = td.is_numeric[feat]
-    v = td.values.take(rows + (td.value_row[feat] * td.n).repeat(m))
+    v = td.value(rows, feat.repeat(m))
     present = v == v  # NaN is missing
     ends = m.cumsum() - 1
     differs = np.ones(len(v), dtype=bool)
@@ -381,7 +396,7 @@ def line_chunks(td: TrainingData, batch: Batch, features: list[np.ndarray]):
         if lo == hi:
             continue
         node, feat, m = line_node[lo:hi], line_feat[lo:hi], lengths[lo:hi]
-        ch = _mark(td, node, feat, m, _sorted_lines(td, batch, node, td.value_row[feat], m))
+        ch = _mark(td, node, feat, m, _sorted_lines(td, batch, node, feat, m))
         if len(ch.at):
             yield ch
 
@@ -418,7 +433,7 @@ class KeptLines:
     @classmethod
     def root(cls, td: TrainingData) -> KeptLines:
         """The lines of the node that holds every row."""
-        return cls(td, [td.order.take(td.value_row, axis=0).astype(np.int32)])
+        return cls(td, [td.order.astype(np.int32)])
 
     def add(self, lines: list[np.ndarray]) -> int:
         """Keep the lines of more nodes, each as (features, rows) row ids,
@@ -661,34 +676,19 @@ class GiniSearch:
         results = [None] * len(nodes)
         if not found:
             return results
-        node, feat, score, operand, miss_left, n_left, a_left = (
-            found[0] if len(found) == 1 else map(np.concatenate, zip(*found)))
-        if len(found) > 1:  # the lines of a node may span chunks
-            first = _segment_argmax(score, _segments(node))
-            node, feat, score, operand, miss_left, n_left, a_left = (
-                x[first] for x in (node, feat, score, operand, miss_left, n_left, a_left))
-        split = score > -np.inf
-        if not split.all():
-            node, feat, score, operand, miss_left, n_left, a_left = (
-                x[split] for x in (node, feat, score, operand, miss_left, n_left, a_left))
-            if not len(node):
-                return results
-        _, x, m = batch.line_values(td, node, feat)
-        op = operand.repeat(m)
-        numeric = td.is_numeric[feat]
-        holds = x < op if numeric.all() else np.where(numeric.repeat(m), x < op, x == op)
-        left = holds | (np.isnan(x) & miss_left.repeat(m))
+        found = [np.concatenate(x) for x in zip(*found)]
+        first = _segment_argmax(found[2], _segments(found[0]))  # a node's lines may span chunks
+        first = first[found[2][first] > -np.inf]
+        node, feat, score, operand, miss_left, n_left, a_left = (x[first] for x in found)
+        m = batch.lengths[node]
+        left = td.goes_left(batch.line_rows(node, m), feat.repeat(m), operand.repeat(m),
+                            miss_left.repeat(m))
         bounds = m.cumsum().tolist()
         for b, f, t, goes_left, best, nL, aL, lo, hi in zip(
                 node.tolist(), feat.tolist(), operand.tolist(), miss_left.tolist(),
                 score.tolist(), n_left.tolist(), a_left.tolist(), [0] + bounds, bounds):
-            nd, name, mask = nodes[b], td.features[f], left[lo:hi]
-            goes = LEFT if goes_left else RIGHT
-            if name in td.column:
-                cond = SplitCondition(name, NUMERIC_LT, threshold=t, missing_goes=goes)
-            else:
-                cond = SplitCondition(name, CATEGORICAL_EQ, missing_goes=goes,
-                                      category=str(td.categories[name][int(t)]))
+            nd, mask = nodes[b], left[lo:hi]
+            cond = td.condition(f, t, LEFT if goes_left else RIGHT)
             results[b] = (cond, mask, best,
                           self.node(nd.member, nd.rows[mask], nL, aL, lines),
                           self.node(nd.member, nd.rows[~mask], nd.n - nL, nd.a - aL, lines))
@@ -745,8 +745,8 @@ class GiniSearch:
         if len(cat):
             m = np.full(len(cat), len(nd.rows))
             rows = np.tile(nd.rows, len(cat))
-            x = td.values.take(rows + (td.value_row[ch.feat[ch.line[cat]]] * n).repeat(m))
-            left = (x == ch.operand(td, cat).repeat(m)) | (np.isnan(x) & miss_left[cat].repeat(m))
+            left = td.goes_left(rows, ch.feat[ch.line[cat]].repeat(m),
+                                ch.operand(td, cat).repeat(m), miss_left[cat].repeat(m))
             y_rows = td.y.take(rows)
             parts.append(_masked(rows + n, m, [left & (y_rows == 1), left & (y_rows == 0)]))
         picked, lengths = (np.concatenate(x) for x in zip(*parts)) if parts else (
@@ -757,9 +757,10 @@ class GiniSearch:
     def _weighted(self, nd: Node, ch: Lines, partial: np.ndarray, left: tuple, right: tuple,
                   cat: np.ndarray, plan: RunSums) -> np.ndarray:
         """Weighted Gini scores of a chunk's candidates, in the one node of a
-        weighted search, so every line holds the node's rows. Weight sums
-        add as a scan of each feature would: running sums in the line's
-        order, and totals and category sums pairwise over their rows."""
+        weighted search, so every line holds the node's rows. Running sums
+        add in line order, line totals pairwise over the line's present
+        cells in line order, and category sums pairwise over their rows in
+        row order."""
         td, line = self.td, ch.line
         amounts = np.stack([self.weights * td.y, self.weights])
         # numeric cuts: class-1 and all weight of the present rows up to the cut

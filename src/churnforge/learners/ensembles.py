@@ -52,11 +52,7 @@ class EnsembleModel(RowScoring):
         return out
 
 
-def _member_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng((seed, index))
-
-
-def _train_members(data: FeatureMatrix | TrainingData, seed: int, indexes: list[int],
+def _train_members(matrix: FeatureMatrix, seed: int, indexes: list[int],
                    bootstrap: bool, max_depth: int, min_leaf: int,
                    features_per_split: int | None) -> list[TreeModel]:
     """Bagged trees number `indexes`, grown in lockstep on one presort of
@@ -65,8 +61,8 @@ def _train_members(data: FeatureMatrix | TrainingData, seed: int, indexes: list[
     over the matrix's n rows, counted through `td.index`), then its features."""
     if not indexes:
         raise ValueError("n_trees must be positive")
-    td = data if isinstance(data, TrainingData) else TrainingData(data).merged()
-    rngs = [_member_rng(seed, i) for i in indexes]
+    td = TrainingData(matrix).merged()
+    rngs = [np.random.default_rng((seed, i)) for i in indexes]
     counts = None
     if bootstrap:
         n = len(td.index)
@@ -76,11 +72,11 @@ def _train_members(data: FeatureMatrix | TrainingData, seed: int, indexes: list[
                      features_per_split=features_per_split)
 
 
-def _train_member(data: FeatureMatrix | TrainingData, seed: int, index: int, bootstrap: bool,
+def _train_member(matrix: FeatureMatrix, seed: int, index: int, bootstrap: bool,
                   max_depth: int, min_leaf: int,
                   features_per_split: int | None) -> TreeModel:
     """One bagged tree, alone; equal to member `index` of a lockstep fit."""
-    return _train_members(data, seed, [index], bootstrap, max_depth, min_leaf,
+    return _train_members(matrix, seed, [index], bootstrap, max_depth, min_leaf,
                           features_per_split)[0]
 
 

@@ -121,11 +121,6 @@ def fit_trees(td: TrainingData, rngs: list, max_depth: int, min_leaf: int,
             for root in grow(search, max_depth, features_per_split, rngs)]
 
 
-def fit_tree(td: TrainingData, max_depth: int, min_leaf: int) -> TreeModel:
-    """Grow one tree on presorted data."""
-    return fit_trees(td, [None], max_depth, min_leaf)[0]
-
-
 def fit_weighted(search: GiniSearch, weights: np.ndarray, max_depth: int) -> TreeModel:
     """Grow one tree by a weighted search, each row weighted by `weights`.
     The search keeps the root's lines and candidates from call to call, so
@@ -138,7 +133,7 @@ def fit_weighted(search: GiniSearch, weights: np.ndarray, max_depth: int) -> Tre
 def train_cart(matrix: FeatureMatrix, max_depth: int = 6, min_leaf: int = 1) -> TreeModel:
     """Gini-greedy binary tree. A single-class matrix yields a constant
     classifier (one leaf), not an error."""
-    return fit_tree(TrainingData(matrix).merged(), max_depth, min_leaf)
+    return fit_trees(TrainingData(matrix).merged(), [None], max_depth, min_leaf)[0]
 
 
 def train_stump(matrix: FeatureMatrix) -> TreeModel:

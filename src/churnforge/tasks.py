@@ -118,10 +118,14 @@ class PipelineConfig:
         return TASKS[self.task_id]
 
     def learner_specs(self) -> list[LearnerSpec]:
+        if not self.learners:
+            raise ValueError("no learner is listed")
         specs = []
-        for name in self.learners:
+        for i, name in enumerate(self.learners):
             if name not in ALGORITHMS:
                 raise ValueError(f"unknown learner {name!r} (choose from {', '.join(ALGORITHMS)})")
+            if name in self.learners[:i]:
+                raise ValueError(f"learner {name!r} is listed twice")
             specs.append(LearnerSpec(**{"algorithm": name, "seed": self.seed,
                                         **self.learner_overrides.get(name, {})}))
         return specs
@@ -145,7 +149,8 @@ class PipelineConfig:
 
 
 def parse_config_file(path: str) -> dict[str, str]:
-    """Flat key=value format; '#' starts a comment, blank lines ignored."""
+    """Flat key=value format; '#' starts a comment, blank lines ignored. A
+    key may be set once."""
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -155,6 +160,8 @@ def parse_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: key {key!r} is set twice")
             values[key] = value
     return values
 

@@ -301,19 +301,37 @@ def test_bad_config_value_names_its_key(tmp_path, capsys, line, message):
                                          "adtree, bayes, bagging, forest, adaboost)"),
     ("extract", "final_learner = tree", "learner 'tree' is not in the configured list"),
     ("generate", "task = 9", "task must be 1..7, got 9"),
+    ("generate", "learners = stump, stump", "learner 'stump' is listed twice"),
+    ("extract", "learners = stump, stump", "learner 'stump' is listed twice"),
+    ("generate", "learners = ,", "no learner is listed"),
+    ("extract", "learners = ,", "no learner is listed"),
 ])
 def test_every_command_checks_the_whole_config(workdir, tmp_path, capsys, command, line,
                                                message):
     """A field out of its bound fails at load, naming its key, in a command
     that never reads the field; nothing is written."""
     data = tmp_path / "data" if command == "generate" else workdir["data"]
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text(Path(workdir["config"]).read_text(encoding="utf-8")
-                   + f"data_dir = {data}\nout_dir = {tmp_path / 'out'}\n{line}\n", encoding="utf-8")
-    assert main([command, "--config", str(cfg)]) == 1
     key = line.split(" = ")[0]
+    base = CONFIG_TEMPLATE.format(data=data, out=tmp_path / "out").splitlines()
+    cfg = tmp_path / "c.cfg"  # the template, with `line` in place of its key's line
+    cfg.write_text("".join(f"{ln}\n" for ln in base if not ln.startswith(f"{key} ="))
+                   + f"{line}\n", encoding="utf-8")
+    assert main([command, "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == f"error: config key {key}: {message}\n"
     assert not (tmp_path / "out").exists() and not (tmp_path / "data").exists()
+
+
+def test_a_key_set_twice_fails_naming_the_file_line_and_key(tmp_path, capsys):
+    """A second `seed` line would have silently replaced the first."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"data_dir = {tmp_path / 'data'}\nseed = 1\n# again\nseed = 2\n",
+                   encoding="utf-8")
+    with pytest.raises(ValueError) as caught:
+        parse_config_file(str(cfg))
+    assert str(caught.value) == f"{cfg}:4: key 'seed' is set twice"
+    assert main(["generate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {caught.value}\n"
+    assert not (tmp_path / "data").exists()
 
 
 def test_a_bad_flag_is_checked_at_load(workdir, tmp_path, capsys):
@@ -331,6 +349,8 @@ def test_a_bad_flag_is_checked_at_load(workdir, tmp_path, capsys):
     ("task_id", 9, "task must be 1..7, got 9"),
     ("churn_rate", 1.5, "churn_rate must be in (0, 1), got 1.5"),
     ("learners", ["stump", "tree"], "unknown learner 'tree'"),
+    ("learners", ["cart", "bayes", "cart"], "learner 'cart' is listed twice"),
+    ("learners", [], "no learner is listed"),
     ("final_learner", "cart", "learner 'cart' is not in the configured list"),
 ])
 def test_a_config_built_in_code_is_checked_at_construction(field, value, message):

@@ -452,6 +452,21 @@ def test_matrix_kinds_file_defect_names_its_line(tmp_path, line, message):
 
 # ---------------------------------------------------------------------------
 # differential check: read_matrix against the row-by-row csv.reader code
+def test_matrix_repeated_column_is_refused(tmp_path):
+    """Both `a` features would hold the second column's values, and the
+    first column's would be lost."""
+    path = tmp_path / "m.csv"
+    path.write_text("billing_id,a,a,label\nB1,1.0,2.0,0\nB2,3.0,4.0,1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"m\.csv:1: the column 'a' is repeated$"):
+        read_matrix(str(path))
+
+
+def test_feature_matrix_refuses_repeated_feature_names():
+    with pytest.raises(ValueError, match="^feature 'a' is repeated$"):
+        FeatureMatrix(["B1"], ["a", "b", "a"], {"a": NUMERIC, "b": NUMERIC},
+                      {"a": np.array([1.0]), "b": np.array([2.0])})
+
+
 # ---------------------------------------------------------------------------
 
 def _reference_declared_kinds(path: str, names: list[str]) -> dict[str, str] | None:

@@ -49,7 +49,7 @@ def _assert_laid_out(td: TrainingData, kept: KeptLines, nodes: list[np.ndarray])
     for ch, ref in zip(got, expected):
         for name in FIELDS:
             assert np.array_equal(getattr(ch, name), getattr(ref, name)), name
-        cells = (td.value_row[ch.feat] * td.n).repeat(ch.m)
+        cells = (ch.feat * td.n).repeat(ch.m)
         assert np.array_equal(td.values.take(ch.rows + cells), td.values.take(ref.rows + cells),
                               equal_nan=True)
     for i, rows in enumerate(nodes):

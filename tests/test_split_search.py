@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -171,6 +172,27 @@ def test_split_search_matches_brute_force_reference():
         assert got == _reference_split(matrix, counts, weights, min_leaf, list(rows))
         compared += got is not None
     assert compared > 200
+
+
+def test_training_route_is_the_scoring_rule():
+    """A trained condition sends a training row left (`goes_left`, on codes)
+    exactly when the condition `TrainingData.condition` builds does on the
+    raw column: it holds, or the value is missing and missing goes left."""
+    rng = np.random.default_rng(26)
+    for _ in range(100):
+        n = int(rng.integers(2, 30))
+        matrix = _random_matrix(rng, n)
+        td = TrainingData(matrix)
+        rows = np.arange(n)
+        for f, name in enumerate(td.features):
+            x = np.unique(td.value(rows, f))
+            x = x[~np.isnan(x)]
+            operands = np.concatenate((x, (x[1:] + x[:-1]) / 2)) if td.is_numeric[f] else x
+            for operand, missing_goes in itertools.product(operands.tolist(), ("left", "right")):
+                yes, present = td.condition(f, operand, missing_goes).masks(matrix.columns[name])
+                expected = yes | (~present & (missing_goes == "left"))
+                got = td.goes_left(rows, f, operand, missing_goes == "left")
+                assert np.array_equal(got, expected), (name, operand, missing_goes)
 
 
 def test_run_sums_equal_np_sum_of_each_run():
